@@ -1,0 +1,150 @@
+"""Private helpers shared by the package's modules.
+
+The decision kernel lives here: ``decide`` applies the price rule and the
+capacity guard to a range of arrivals under one price, and ``run_epochs``
+drives it between learning checkpoints.  Both read the k-option view of
+``options``, in which a scalar instance is a multi-choice one with k = 1.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+def ceil_snap(x: float) -> int:
+    """Ceiling with a 1e-9 relative snap toward the nearest integer.
+
+    Guards schedule arithmetic against one-ulp drift in products like
+    n * eps (e.g. 100 * 0.07) without changing any exactly-representable
+    case.
+    """
+    nearest = round(x)
+    if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
+        return int(nearest)
+    return int(math.ceil(x))
+
+
+def real(x: float) -> str:
+    """A float with 17 significant digits: enough to round-trip float64."""
+    return format(float(x), ".17g")
+
+
+def options(inst) -> tuple[np.ndarray, np.ndarray]:
+    """The k-option view: rewards (n, k) and consumption (n, k, m).
+
+    The contiguous row ``consumption[t, j]`` is option j of arrival t.  Scalar
+    instances give zero-copy views with k = 1, multi-choice ones a copy.
+    """
+    if inst.rewards.ndim == 1:
+        return inst.rewards[:, None], inst.consumption[:, None, :]
+    return inst.rewards, np.ascontiguousarray(inst.consumption.transpose(0, 2, 1))
+
+
+def decide(p, rewards, consumption, lo: int, hi: int, remaining, choices) -> int:
+    """Apply the price rule and the capacity guard to arrivals ``lo .. hi-1``.
+
+    ``rewards[t][j]`` and ``consumption[t, j]`` are option j of arrival t in
+    the k-option view (see ``options``); rewards read fastest as nested
+    lists.  Arrival t takes the option with the largest surplus
+    ``f_j - p . G[:, j]`` when that surplus is positive and the option's
+    consumption fits ``remaining`` in every row; the choice is written to
+    ``choices[t]`` and subtracted from ``remaining`` in place.  Entries of
+    ``choices`` for declined arrivals are left untouched.  Returns the number
+    of guard rejections: arrivals the rule accepted that did not fit.
+
+    Tie conventions, shared by every policy:
+
+    * the comparison is strict, so an option priced exactly at its reward is
+      declined;
+    * equal surpluses go to the lowest option index;
+    * the guard is all-or-nothing: an option is committed only if it fits
+      every row, and a rejected arrival falls back to no option, never to
+      the next-best one;
+    * ``greedy_baseline``, which ignores prices, takes the highest-reward
+      option that fits, the lowest index on equal reward.
+    """
+    k = consumption.shape[1]
+    rejected = 0
+    for t in range(lo, hi):
+        f = rewards[t]
+        best, r, a = 0.0, -1, None
+        for j in range(k):
+            # One dot product per option on its contiguous row (ndarray.dot
+            # is np.dot without the dispatch) keeps decisions bitwise with
+            # the per-column rule: a batched product rounds differently, and
+            # adwords decisions hang on that last bit.
+            col = consumption[t, j]
+            surplus = f[j] - float(p.dot(col))
+            if surplus > best:
+                best, r, a = surplus, j, col
+        if r < 0:
+            continue
+        if (a <= remaining).all():
+            remaining -= a
+            choices[t] = r
+        else:
+            rejected += 1
+    return rejected
+
+
+def price_rule(p, rewards, consumption) -> np.ndarray:
+    """Each arrival's choice under price ``p`` with no capacity limit (-1: none)."""
+    choices = np.full(consumption.shape[0], -1, dtype=np.int64)
+    unlimited = np.full(p.size, np.inf)
+    decide(p, rewards, consumption, 0, consumption.shape[0], unlimited, choices)
+    return choices
+
+
+def run_epochs(rewards, consumption, b, points: list[int], learn):
+    """The pricing policy: learn at each checkpoint, then decide until the next.
+
+    ``learn(ell)`` returns the DualPrice learned from the first ``ell``
+    arrivals; it governs arrivals ``ell+1 .. next checkpoint`` (the last one
+    up to n).  Arrivals up to the first checkpoint are declined.  Returns
+    the fields of a run result: (choices, objective, fill, prices_used).
+    """
+    n = rewards.shape[0]
+    f = rewards.tolist()
+    remaining = np.array(b, dtype=np.float64)
+    choices = np.full(n, -1, dtype=np.int64)
+    prices_used = []
+    for ell, end in zip(points, points[1:] + [n]):
+        price = learn(ell)
+        prices_used.append((ell, price))
+        decide(price.p, f, consumption, ell, end, remaining, choices)
+    return choices, objective(rewards, choices), b - remaining, prices_used
+
+
+def onehot(choices, k: int) -> np.ndarray:
+    """Choices as an (n, k) array of 0.0 / 1.0."""
+    out = np.zeros((choices.size, k))
+    taken = np.flatnonzero(choices >= 0)
+    out[taken, choices[taken]] = 1.0
+    return out
+
+
+def objective(rewards, choices) -> float:
+    """Summed reward of the chosen options (rewards in the k-option view)."""
+    return float(np.dot(rewards.reshape(-1), onehot(choices, rewards.shape[1]).reshape(-1)))
+
+
+def dispatch(inst, algo: str, eps: float):
+    """Run the policy named ``algo``, looked up on harness when called."""
+    from . import harness  # imported here: harness imports this module
+
+    multi = inst.rewards.ndim == 2
+    if algo == "greedy_baseline":
+        return harness.greedy_baseline(inst)
+    if algo == "dpa_multi":
+        if not multi:
+            raise ValueError("dpa_multi needs a multi-choice instance")
+        return harness.run_dpa_multi(inst, eps)
+    if multi:
+        raise ValueError(f"{algo} needs a scalar instance; use dpa_multi")
+    if algo == "ola":
+        return harness.run_ola(inst, eps)
+    if algo == "dpa":
+        return harness.run_dpa(inst, eps)
+    raise ValueError(f"unknown algorithm {algo!r}; expected one of {harness.ALGORITHMS}")

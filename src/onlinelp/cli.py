@@ -14,6 +14,7 @@ import json
 import os
 import sys
 
+from ._core import dispatch, options, real
 from .engine import check_input_condition
 from .errors import (
     AllZeroBids,
@@ -26,8 +27,8 @@ from .errors import (
     StreamExhausted,
 )
 from .generators import GenSpec, generate, shuffle
-from .harness import _dispatch, column_sample_solve, offline_opt, run_trials
-from .model import MultiInstance, _real, load_instance, save_instance
+from .harness import column_sample_solve, offline_opt, run_trials
+from .model import MultiInstance, load_instance, save_instance
 
 _DATA_ERRORS = (
     BadSpec,
@@ -163,9 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _abar(inst) -> "list[float]":
-    if isinstance(inst, MultiInstance):
-        return [float(v) for v in inst.consumption.max(axis=(0, 2))]
-    return [float(v) for v in inst.consumption.max(axis=0)]
+    return [float(v) for v in options(inst)[1].max(axis=(0, 1))]
 
 
 def _condition_line(inst, eps: float, variant: str) -> str:
@@ -203,12 +202,12 @@ def cmd_run(args) -> int:
     inst = load_instance(args.input)
     if args.shuffle_seed is not None:
         inst = shuffle(inst, args.shuffle_seed)
-    result = _dispatch(inst, args.algo, args.eps)
+    result = dispatch(inst, args.algo, args.eps)
     opt, _, _ = offline_opt(inst)
     ratio = result.objective / opt if opt > 0.0 else 0.0
     print(f"algo={args.algo} eps={args.eps:g} m={inst.m} n={inst.n}")
-    print(f"objective = {_real(result.objective)}")
-    print(f"opt = {_real(opt)}")
+    print(f"objective = {real(result.objective)}")
+    print(f"opt = {real(opt)}")
     print(f"ratio = {ratio:.6f}")
     print(f"accepted = {result.accepted} of {inst.n}")
     for i in range(inst.m):
@@ -244,10 +243,10 @@ def cmd_bench(args) -> int:
             )
             for rec in stats.records:
                 writer.writerow([
-                    algo, _real(eps), rec.trial, rec.seed,
-                    _real(rec.objective), _real(rec.opt), _real(rec.ratio),
+                    algo, real(eps), rec.trial, rec.seed,
+                    real(rec.objective), real(rec.opt), real(rec.ratio),
                     rec.violations,
-                    _real(rec.runtime_ms) if args.timings else "0",
+                    real(rec.runtime_ms) if args.timings else "0",
                 ])
     if args.output is None:
         sys.stdout.write(buf.getvalue())
@@ -265,7 +264,7 @@ def cmd_sample_lp(args) -> int:
     if isinstance(inst, MultiInstance):
         raise ValueError("sample-lp works on scalar instances only")
     res = column_sample_solve(inst, args.eps, seed=args.seed)
-    print(f"objective = {_real(res.objective)}")
+    print(f"objective = {real(res.objective)}")
     print(f"accepted = {int(res.x.sum())} of {inst.n}")
     print(f"guard rejections = {res.guard_rejections}")
     for i in range(inst.m):

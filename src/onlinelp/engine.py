@@ -14,6 +14,11 @@ model and both keeping every capacity constraint satisfied at every step:
 
 ``step`` exposes the same logic one arrival at a time for streaming use;
 folding it over a column sequence reproduces the batch runs exactly.
+
+This module owns the schedule (where prices are learned) and the prefix LP
+(what they are learned from).  The price rule and the capacity guard are
+the decision kernel in ``_core``, shared with the multi-choice policy: the
+batch runs hand it one price epoch at a time, ``step`` one arrival.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._core import ceil_snap, decide, options, price_rule, run_epochs
 from .errors import DegenerateWindow, DimensionMismatch, NonpositiveReward, StreamExhausted
 from .lp import BoxedLp, solve_boxed_lp
 from .model import Column, DualPrice, Instance, MultiInstance, RunResult
@@ -42,24 +48,11 @@ __all__ = [
 ]
 
 
-def _ceil_snap(x: float) -> int:
-    """Ceiling with a 1e-9 relative snap toward the nearest integer.
-
-    Guards schedule arithmetic against one-ulp drift in products like
-    n * eps (e.g. 100 * 0.07) without changing any exactly-representable
-    case.
-    """
-    nearest = round(x)
-    if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
-        return int(nearest)
-    return int(math.ceil(x))
-
-
 def _learning_window(n: int, eps: float) -> int:
     if not 0.0 < eps:
         raise ValueError(f"eps must be positive, got {eps}")
     prod = n * eps
-    s = _ceil_snap(prod)
+    s = ceil_snap(prod)
     if prod < 1.0 - 1e-9:
         raise DegenerateWindow(f"n*eps = {prod:.6g} < 1 leaves no columns to learn from")
     if s >= n:
@@ -87,17 +80,12 @@ def geometric_schedule(n: int, eps: float) -> list[int]:
     points: list[int] = []
     r = 0
     while True:
-        ell = _ceil_snap(base * (1 << r))
+        ell = ceil_snap(base * (1 << r))
         if ell >= n:
             break
         points.append(ell)
         r += 1
     return sorted(set(points))
-
-
-def _accepts(pvec: np.ndarray, pi: float, a: np.ndarray) -> bool:
-    # Strict inequality: a column priced exactly at its reward is declined.
-    return pi > float(np.dot(pvec, a))
 
 
 def allocation_rule(price: DualPrice, col: Column) -> int:
@@ -106,7 +94,7 @@ def allocation_rule(price: DualPrice, col: Column) -> int:
         raise DimensionMismatch(
             f"price has {price.m} rows, column consumption has {col.a.size}"
         )
-    return 1 if _accepts(price.p, col.pi, col.a) else 0
+    return int(price_rule(price.p, [[col.pi]], col.a[None, None, :])[0] >= 0)
 
 
 def sample_lp(inst: Instance, ell: int, shrink: float) -> BoxedLp:
@@ -123,10 +111,8 @@ def _prefix_lp(rewards, consumption, b, n, ell, shrink) -> BoxedLp:
     return BoxedLp(c=rewards, A=np.ascontiguousarray(consumption.T), d=d)
 
 
-def _learn(rewards, consumption, b, n, ell, shrink) -> DualPrice:
-    lp = _prefix_lp(rewards, consumption, b, n, ell, shrink)
-    sol = solve_boxed_lp(lp)
-    return DualPrice(p=np.maximum(sol.dual, 0.0))
+def _price(lp: BoxedLp) -> DualPrice:
+    return DualPrice(p=np.maximum(solve_boxed_lp(lp).dual, 0.0))
 
 
 def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
@@ -138,40 +124,23 @@ def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
         shrink: capacity shrink factor in [0, 1); the prefix LP right-hand
             side is (1 - shrink) * (ell / n) * b.
     """
-    if not 1 <= ell <= inst.n:
-        raise ValueError(f"ell must be in [1, n], got ell={ell}, n={inst.n}")
-    if not 0.0 <= shrink < 1.0:
-        raise ValueError(f"shrink must be in [0, 1), got {shrink}")
-    return _learn(inst.rewards[:ell], inst.consumption[:ell], inst.b, inst.n, ell, shrink)
+    return _price(sample_lp(inst, ell, shrink))
 
 
-def _run_scalar(inst: Instance, eps: float, mode: str) -> RunResult:
-    t0 = _learning_window(inst.n, eps)
-    points = [t0] if mode == "ola" else geometric_schedule(inst.n, eps)
-    remaining = inst.b.copy()
-    decisions = np.zeros(inst.n, dtype=np.int8)
-    prices_used: list[tuple[int, DualPrice]] = []
-    pvec = None
-    next_point = 0
-    for t in range(1, inst.n + 1):
-        if t <= t0:
-            continue  # learning window: decline everything
-        while next_point < len(points) and points[next_point] < t:
-            ell = points[next_point]
-            shrink = eps if mode == "ola" else h_factor(ell, inst.n, eps)
-            price = _learn(
-                inst.rewards[:ell], inst.consumption[:ell], inst.b, inst.n, ell, shrink
-            )
-            prices_used.append((ell, price))
-            pvec = price.p
-            next_point += 1
-        a = inst.consumption[t - 1]
-        if _accepts(pvec, float(inst.rewards[t - 1]), a) and bool(np.all(a <= remaining)):
-            decisions[t - 1] = 1
-            remaining -= a
-    fill = inst.b - remaining
-    objective = float(np.dot(inst.rewards, decisions.astype(np.float64)))
-    return RunResult(decisions=decisions, objective=objective, fill=fill, prices_used=prices_used)
+def _schedule(n: int, eps: float, mode: str) -> list[int]:
+    return [_learning_window(n, eps)] if mode == "ola" else geometric_schedule(n, eps)
+
+
+def _shrink(ell: int, n: int, eps: float, mode: str) -> float:
+    return eps if mode == "ola" else h_factor(ell, n, eps)
+
+
+def _run(inst: Instance, eps: float, mode: str) -> RunResult:
+    choices, *outcome = run_epochs(
+        *options(inst), inst.b, _schedule(inst.n, eps, mode),
+        lambda ell: learn_price(inst, ell, _shrink(ell, inst.n, eps, mode)),
+    )
+    return RunResult((choices >= 0).astype(np.int8), *outcome)
 
 
 def run_ola(inst: Instance, eps: float) -> RunResult:
@@ -181,7 +150,7 @@ def run_ola(inst: Instance, eps: float) -> RunResult:
     fires and its consumption fits every row's remaining capacity (checked
     exactly, so the fill can never exceed b).
     """
-    return _run_scalar(inst, eps, "ola")
+    return _run(inst, eps, "ola")
 
 
 def run_dpa(inst: Instance, eps: float) -> RunResult:
@@ -192,7 +161,7 @@ def run_dpa(inst: Instance, eps: float) -> RunResult:
     carry the h_factor shrink, so early prices over-protect capacity while
     little has been observed.
     """
-    return _run_scalar(inst, eps, "dpa")
+    return _run(inst, eps, "dpa")
 
 
 @dataclass
@@ -200,7 +169,8 @@ class OnlineState:
     """Mutable state for the streaming API; single-owner, advance with step().
 
     Tracks remaining capacity, the arrival count, the current price, and the
-    columns seen so far (needed to re-learn prices at update points).
+    arrivals up to the last schedule point (the window alone under OLA),
+    which are all that re-learning prices needs.
     """
 
     m: int
@@ -214,9 +184,13 @@ class OnlineState:
     current_price: DualPrice | None = None
     decisions: list[int] = field(default_factory=list)
     prices_used: list[tuple[int, DualPrice]] = field(default_factory=list)
-    _seen_pi: list[float] = field(default_factory=list)
-    _seen_a: list[np.ndarray] = field(default_factory=list)
+    _seen_pi: np.ndarray = field(init=False, repr=False)
+    _seen_a: np.ndarray = field(init=False, repr=False)
     _next_point: int = 0
+
+    def __post_init__(self):
+        self._seen_pi = np.empty(self.schedule[-1])
+        self._seen_a = np.empty((self.schedule[-1], self.m))
 
     @classmethod
     def start(cls, m: int, n: int, b, eps: float, mode: str = "dpa") -> "OnlineState":
@@ -225,11 +199,9 @@ class OnlineState:
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (m,):
             raise DimensionMismatch(f"b has shape {b.shape}, expected ({m},)")
-        t0 = _learning_window(n, eps)
-        schedule = [t0] if mode == "ola" else geometric_schedule(n, eps)
         return cls(
             m=m, n=n, b=b.copy(), eps=eps, mode=mode,
-            schedule=schedule, remaining=b.copy(),
+            schedule=_schedule(n, eps, mode), remaining=b.copy(),
         )
 
     @property
@@ -249,27 +221,24 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
         raise StreamExhausted(f"all {state.n} arrivals already processed")
     if col.a.size != state.m:
         raise DimensionMismatch(f"column has {col.a.size} rows, state has {state.m}")
-    state._seen_pi.append(col.pi)
-    state._seen_a.append(col.a.copy())
     t = state.t + 1
-    decision = 0
+    if t <= state.schedule[-1]:
+        state._seen_pi[t - 1] = col.pi
+        state._seen_a[t - 1] = col.a
+    choice = [-1]
     if t > state.window:
         while state._next_point < len(state.schedule) and state.schedule[state._next_point] < t:
             ell = state.schedule[state._next_point]
-            shrink = state.eps if state.mode == "ola" else h_factor(ell, state.n, state.eps)
-            price = _learn(
-                np.array(state._seen_pi[:ell], dtype=np.float64),
-                np.vstack(state._seen_a[:ell]),
-                state.b, state.n, ell, shrink,
-            )
+            shrink = _shrink(ell, state.n, state.eps, state.mode)
+            price = _price(_prefix_lp(
+                state._seen_pi[:ell], state._seen_a[:ell], state.b, state.n, ell, shrink
+            ))
             state.prices_used.append((ell, price))
             state.current_price = price
             state._next_point += 1
-        if _accepts(state.current_price.p, col.pi, col.a) and bool(
-            np.all(col.a <= state.remaining)
-        ):
-            decision = 1
-            state.remaining -= col.a
+        p = state.current_price.p
+        decide(p, [[col.pi]], col.a[None, None, :], 0, 1, state.remaining, choice)
+    decision = int(choice[0] >= 0)
     state.t = t
     state.decisions.append(decision)
     return decision, state
@@ -338,10 +307,7 @@ def check_input_condition(
         lhs = float(inst.b.min())
         return ConditionReport(variant, lhs >= rhs, lhs, rhs)
     if variant == "per_row":
-        if isinstance(inst, MultiInstance):
-            abar = inst.consumption.max(axis=(0, 2))
-        else:
-            abar = inst.consumption.max(axis=0)
+        abar = options(inst)[1].max(axis=(0, 1))
         with np.errstate(divide="ignore"):
             per_row = np.where(abar > 0.0, inst.b / np.where(abar > 0.0, abar, 1.0), np.inf)
         rhs = _per_row_threshold(m, n, eps)

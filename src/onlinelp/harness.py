@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import _accepts, _ceil_snap, run_dpa, run_ola, sample_lp
+from ._core import ceil_snap, decide, dispatch, objective, onehot, options, price_rule
+# run_ola, run_dpa and run_dpa_multi are called through this module by dispatch.
+from .engine import run_dpa, run_ola, sample_lp
 from .errors import DegenerateWindow
 from .generators import shuffle
 from .lp import BoxedLp, perturb_rewards, perturb_rewards_multi, solve_boxed_lp
 from .model import DualPrice, Instance, MultiInstance, MultiRunResult, RunResult
-from .multi import _choose, flatten_lp, run_dpa_multi
+from .multi import flatten_lp, run_dpa_multi
 
 __all__ = [
     "TrialRecord",
@@ -64,34 +66,21 @@ def greedy_baseline(inst: Instance | MultiInstance):
     multi-choice instances take the best-paying option that fits, if any.
     A deliberately weak yardstick for the priced policies.
     """
-    if isinstance(inst, MultiInstance):
-        remaining = inst.b.copy()
-        choices = np.full(inst.n, -1, dtype=np.int64)
-        for t in range(inst.n):
-            G = inst.consumption[t]
-            fits = np.flatnonzero((G <= remaining[:, None]).all(axis=0))
-            if fits.size:
-                r = int(fits[np.argmax(inst.rewards[t, fits])])
-                choices[t] = r
-                remaining -= G[:, r]
-        onehot = np.zeros((inst.n, inst.k))
-        taken = np.flatnonzero(choices >= 0)
-        onehot[taken, choices[taken]] = 1.0
-        objective = float(np.dot(inst.rewards.reshape(-1), onehot.reshape(-1)))
-        return MultiRunResult(
-            choices=choices, objective=objective, fill=inst.b - remaining
-        )
+    rewards, consumption = options(inst)
     remaining = inst.b.copy()
-    decisions = np.zeros(inst.n, dtype=np.int8)
-    for t in range(inst.n):
-        a = inst.consumption[t]
-        if bool(np.all(a <= remaining)):
-            decisions[t] = 1
-            remaining -= a
-    objective = float(np.dot(inst.rewards, decisions.astype(np.float64)))
-    return RunResult(
-        decisions=decisions, objective=objective, fill=inst.b - remaining
-    )
+    choices = np.full(inst.n, -1, dtype=np.int64)
+    for t, f in enumerate(rewards.tolist()):
+        best, r = -1.0, -1  # rewards are nonnegative: any fitting option beats -1
+        for j in range(len(f)):
+            if f[j] > best and (consumption[t, j] <= remaining).all():
+                best, r = f[j], j
+        if r >= 0:
+            choices[t] = r
+            remaining -= consumption[t, r]
+    value, fill = objective(rewards, choices), inst.b - remaining
+    if isinstance(inst, MultiInstance):
+        return MultiRunResult(choices=choices, objective=value, fill=fill)
+    return RunResult(decisions=(choices >= 0).astype(np.int8), objective=value, fill=fill)
 
 
 @dataclass(frozen=True)
@@ -134,27 +123,10 @@ class TrialStats:
         return sum(r.violations for r in self.records)
 
 
-def _dispatch(inst, algo: str, eps: float):
-    multi = isinstance(inst, MultiInstance)
-    if algo == "greedy_baseline":
-        return greedy_baseline(inst)
-    if algo == "dpa_multi":
-        if not multi:
-            raise ValueError("dpa_multi needs a multi-choice instance")
-        return run_dpa_multi(inst, eps)
-    if multi:
-        raise ValueError(f"{algo} needs a scalar instance; use dpa_multi")
-    if algo == "ola":
-        return run_ola(inst, eps)
-    if algo == "dpa":
-        return run_dpa(inst, eps)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
-
-
 def _one_trial(inst, algo: str, eps: float, trial: int, seed: int, opt: float) -> TrialRecord:
     shuffled = shuffle(inst, seed)
     t0 = time.perf_counter()
-    result = _dispatch(shuffled, algo, eps)
+    result = dispatch(shuffled, algo, eps)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     violations = int(np.sum(result.fill > shuffled.b))
     ratio = result.objective / opt if opt > 0.0 else 0.0
@@ -210,27 +182,12 @@ def lemma_kkt_oracle(
     most m: only columns priced exactly at their reward, or left fractional
     by the basis, can disagree.
     """
-    tol = 1e-9
-    if isinstance(inst, MultiInstance):
-        pert = perturb_rewards_multi(inst, eta, seed)
-        _, x, price = offline_opt(pert)
-        mismatches = 0
-        for t in range(pert.n):
-            r = _choose(price.p, pert.rewards[t], pert.consumption[t])
-            onehot = np.zeros(pert.k)
-            if r is not None:
-                onehot[r] = 1.0
-            if np.any(np.abs(x[t] - onehot) > tol):
-                mismatches += 1
-        return mismatches
-    pert = perturb_rewards(inst, eta, seed)
+    perturb = perturb_rewards_multi if isinstance(inst, MultiInstance) else perturb_rewards
+    pert = perturb(inst, eta, seed)
     _, x, price = offline_opt(pert)
-    mismatches = 0
-    for t in range(pert.n):
-        ruled = 1.0 if _accepts(price.p, float(pert.rewards[t]), pert.consumption[t]) else 0.0
-        if abs(float(x[t]) - ruled) > tol:
-            mismatches += 1
-    return mismatches
+    rewards, consumption = options(pert)
+    ruled = onehot(price_rule(price.p, rewards.tolist(), consumption), rewards.shape[1])
+    return int(np.sum(np.any(np.abs(x.reshape(ruled.shape) - ruled) > 1e-9, axis=1)))
 
 
 def lemma_sample_opt_oracle(
@@ -245,7 +202,7 @@ def lemma_sample_opt_oracle(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    s = _ceil_snap(inst.n * eps)
+    s = ceil_snap(inst.n * eps)
     opt, _, _ = offline_opt(inst)
     values = []
     for r in range(1, trials + 1):
@@ -281,7 +238,7 @@ def column_sample_solve(inst: Instance, eps: float, seed: int = 0) -> ColumnSamp
     prod = inst.n * eps
     if prod < 1.0 - 1e-9:
         raise DegenerateWindow(f"n*eps = {prod:.6g} < 1 leaves nothing to sample")
-    s = min(_ceil_snap(prod), inst.n)
+    s = min(ceil_snap(prod), inst.n)
     rng = np.random.default_rng(seed)
     idx = rng.choice(inst.n, size=s, replace=False)
     d = (1.0 - eps) * (s / inst.n) * inst.b
@@ -289,19 +246,11 @@ def column_sample_solve(inst: Instance, eps: float, seed: int = 0) -> ColumnSamp
         c=inst.rewards[idx], A=np.ascontiguousarray(inst.consumption[idx].T), d=d
     )
     price = DualPrice(p=np.maximum(solve_boxed_lp(lp).dual, 0.0))
+    rewards, consumption = options(inst)
     remaining = inst.b.copy()
-    x = np.zeros(inst.n, dtype=np.int8)
-    blocked = 0
-    for t in range(inst.n):
-        a = inst.consumption[t]
-        if _accepts(price.p, float(inst.rewards[t]), a):
-            if bool(np.all(a <= remaining)):
-                x[t] = 1
-                remaining -= a
-            else:
-                blocked += 1
-    objective = float(np.dot(inst.rewards, x.astype(np.float64)))
+    choices = np.full(inst.n, -1, dtype=np.int64)
+    blocked = decide(price.p, rewards.tolist(), consumption, 0, inst.n, remaining, choices)
     return ColumnSampleResult(
-        x=x, objective=objective, fill=inst.b - remaining,
-        guard_rejections=blocked, price=price, sample_indices=idx,
+        x=(choices >= 0).astype(np.int8), objective=objective(rewards, choices),
+        fill=inst.b - remaining, guard_rejections=blocked, price=price, sample_indices=idx,
     )

@@ -20,6 +20,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
+from ._core import real
 from .errors import DimensionMismatch, ParseError
 
 __all__ = [
@@ -287,11 +288,8 @@ class MultiRunResult:
 # regenerating a file yields identical bytes.
 
 
-def _real(x: float) -> str:
-    return format(float(x), ".17g")
-
 def _real_list(xs) -> str:
-    return "[" + ", ".join(_real(v) for v in xs) + "]"
+    return "[" + ", ".join(real(v) for v in xs) + "]"
 
 
 def instance_to_json(inst: AnyInstance) -> str:
@@ -312,7 +310,7 @@ def instance_to_json(inst: AnyInstance) -> str:
     else:
         for t in range(inst.n):
             col_lines.append(
-                '    {"pi": ' + _real(inst.rewards[t])
+                '    {"pi": ' + real(inst.rewards[t])
                 + ', "a": ' + _real_list(inst.consumption[t]) + "}"
             )
     body = ",\n".join(col_lines)

@@ -2,24 +2,27 @@
 
 Arrival ``t`` offers option rewards ``f_t`` (length k) and a consumption
 matrix ``G_t`` (m rows by k options); at most one option may be taken.  The
-pricing policy mirrors the scalar one: learn row prices from a prefix LP,
-then take the option with the largest priced surplus ``f_j - p' G[:, j]``
-when that surplus is positive, subject to the exact capacity guard.
+pricing policy is the scalar one: learn row prices from a prefix LP, then
+take the option with the largest priced surplus ``f_j - p' G[:, j]`` when
+that surplus is positive, subject to the exact capacity guard.  The rule,
+the guard and the schedule loop are the decision kernel in ``_core``, which
+the scalar policies run as k = 1.
 
 The prefix LP flattens the first ``ell`` arrivals into one boxed LP: one
 scalar variable per (arrival, option) pair, the m resource rows scaled and
 shrunk exactly as in the scalar case, plus one "pick at most one" row per
 arrival.  Only the m resource-row duals feed the allocation rule.  For
-k = 1 the pick-one rows literally restate the 0..1 box and are omitted,
-which makes the k = 1 solve identical to the scalar path, LP for LP.
+k = 1 the pick-one rows literally restate the 0..1 box and are omitted, so
+the k = 1 prefix LP is the scalar one and learns the same prices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._core import options, price_rule, run_epochs
 from .errors import AllZeroBids, DimensionMismatch
-from .engine import _learning_window, geometric_schedule, h_factor
+from .engine import geometric_schedule, h_factor
 from .lp import BoxedLp, solve_boxed_lp
 from .model import DualPrice, MultiColumn, MultiInstance, MultiRunResult
 
@@ -36,25 +39,6 @@ __all__ = [
 MultiDecision = int | None
 
 
-def _priced_consumption(pvec: np.ndarray, G: np.ndarray) -> np.ndarray:
-    # Per-option dot products, each on a contiguous copy of the option's
-    # column so the k = 1 case computes exactly what the scalar rule does.
-    k = G.shape[1]
-    out = np.empty(k)
-    for j in range(k):
-        out[j] = float(np.dot(pvec, np.ascontiguousarray(G[:, j])))
-    return out
-
-
-def _choose(pvec: np.ndarray, f: np.ndarray, G: np.ndarray) -> MultiDecision:
-    priced = _priced_consumption(pvec, G)
-    winners = f > priced  # strict: ties decline, as in the scalar rule
-    if not winners.any():
-        return None
-    surplus = np.where(winners, f - priced, -np.inf)
-    return int(np.argmax(surplus))  # first maximum, so ties pick the lowest index
-
-
 def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> MultiDecision:
     """Option with the largest positive priced surplus, or None if there is none.
 
@@ -65,7 +49,8 @@ def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> MultiDecision:
         raise DimensionMismatch(
             f"price has {price.m} rows, column consumption has {col.G.shape[0]}"
         )
-    return _choose(price.p, col.f, col.G)
+    r = int(price_rule(price.p, [col.f.tolist()], np.ascontiguousarray(col.G.T)[None])[0])
+    return None if r < 0 else r
 
 
 def _flatten(rewards: np.ndarray, consumption: np.ndarray, d_res: np.ndarray) -> BoxedLp:
@@ -113,36 +98,11 @@ def run_dpa_multi(minst: MultiInstance, eps: float) -> MultiRunResult:
     shrink, and between updates pick each arrival's best surplus option if
     it is positive and fits the remaining capacity in every row.
     """
-    n, m = minst.n, minst.m
-    t0 = _learning_window(n, eps)
-    points = geometric_schedule(n, eps)
-    remaining = minst.b.copy()
-    choices = np.full(n, -1, dtype=np.int64)
-    prices_used: list[tuple[int, DualPrice]] = []
-    pvec = None
-    next_point = 0
-    for t in range(1, n + 1):
-        if t <= t0:
-            continue
-        while next_point < len(points) and points[next_point] < t:
-            ell = points[next_point]
-            price = learn_price_multi(minst, ell, h_factor(ell, n, eps))
-            prices_used.append((ell, price))
-            pvec = price.p
-            next_point += 1
-        G = minst.consumption[t - 1]
-        r = _choose(pvec, minst.rewards[t - 1], G)
-        if r is not None and bool(np.all(G[:, r] <= remaining)):
-            choices[t - 1] = r
-            remaining -= G[:, r]
-    fill = minst.b - remaining
-    onehot = np.zeros((n, minst.k))
-    taken = np.flatnonzero(choices >= 0)
-    onehot[taken, choices[taken]] = 1.0
-    objective = float(np.dot(minst.rewards.reshape(-1), onehot.reshape(-1)))
-    return MultiRunResult(
-        choices=choices, objective=objective, fill=fill, prices_used=prices_used
-    )
+    n = minst.n
+    return MultiRunResult(*run_epochs(
+        *options(minst), minst.b, geometric_schedule(n, eps),
+        lambda ell: learn_price_multi(minst, ell, h_factor(ell, n, eps)),
+    ))
 
 
 def adwords_to_multi(bids, budgets) -> MultiInstance:

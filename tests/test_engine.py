@@ -8,12 +8,14 @@ from onlinelp import (
     DegenerateWindow,
     DimensionMismatch,
     DualPrice,
+    GenSpec,
     Instance,
     NonpositiveReward,
     OnlineState,
     StreamExhausted,
     allocation_rule,
     check_input_condition,
+    generate,
     geometric_schedule,
     h_factor,
     learn_price,
@@ -233,10 +235,27 @@ class TestStreaming:
             assert len(state.prices_used) == len(batch.prices_used)
 
     def test_ola_mode_matches_run_ola(self):
-        inst = unit_instance([5, 7, 9, 6, 8, 10, 3, 11, 12, 4], 3.0)
-        state = OnlineState.start(1, 10, inst.b, 0.2, mode="ola")
-        stream = [step(state, col)[0] for col in inst.columns()]
-        np.testing.assert_array_equal(stream, run_ola(inst, 0.2).decisions)
+        cases = [(unit_instance([5, 7, 9, 6, 8, 10, 3, 11, 12, 4], 3.0), 0.2)]
+        for seed in range(12):
+            inst = generate(GenSpec(kind="routing", seed=60 + seed, params=dict(
+                m=1 + seed % 3, n=120 + 20 * seed, q=0.5, capacity=3.0)))
+            cases.append((inst, (0.05, 0.1, 0.2)[seed % 3]))
+        for inst, eps in cases:
+            batch = run_ola(inst, eps)
+            state = OnlineState.start(inst.m, inst.n, inst.b, eps, mode="ola")
+            stream = [step(state, col)[0] for col in inst.columns()]
+            assert np.array_equal(np.array(stream, dtype=np.int8), batch.decisions)
+            assert np.array_equal(inst.b - state.remaining, batch.fill)
+            assert [ell for ell, _ in state.prices_used] == [ell for ell, _ in batch.prices_used]
+            for (_, ps), (_, pb) in zip(state.prices_used, batch.prices_used):
+                assert np.array_equal(ps.p, pb.p)
+            # the guard must have blocked a column the rule accepted
+            (window, price), = batch.prices_used
+            blocked = [
+                t for t, col in enumerate(inst.columns())
+                if t >= window and allocation_rule(price, col) and not stream[t]
+            ]
+            assert blocked, (inst.meta, eps)
 
     def test_stream_exhausted(self):
         inst = unit_instance([1.0, 2.0], 1.0)

@@ -10,7 +10,9 @@ from onlinelp import (
     MultiInstance,
     adwords_to_multi,
     flatten_lp,
+    greedy_baseline,
     learn_price_multi,
+    lemma_kkt_oracle,
     multi_allocation_rule,
     run_dpa,
     run_dpa_multi,
@@ -135,17 +137,23 @@ class TestRunDpaMulti:
             inst = Instance(m=m, n=n, b=rng.uniform(2, 7, m),
                             rewards=rng.uniform(0, 2, n),
                             consumption=rng.uniform(0, 1, (n, m)))
-            scalar = run_dpa(inst, 0.2)
-            multi = run_dpa_multi(as_multi(inst), 0.2)
-            np.testing.assert_array_equal(
-                scalar.decisions.astype(np.int64),
-                (multi.choices == 0).astype(np.int64),
-            )
-            assert multi.objective == scalar.objective  # bitwise
-            assert np.array_equal(multi.fill, scalar.fill)
-            for (ls, ps), (lm, pm) in zip(scalar.prices_used, multi.prices_used):
-                assert ls == lm
-                assert np.array_equal(ps.p, pm.p)
+            minst = as_multi(inst)
+            pairs = [
+                (run_dpa(inst, 0.2), run_dpa_multi(minst, 0.2)),
+                (greedy_baseline(inst), greedy_baseline(minst)),
+            ]
+            for scalar, multi in pairs:
+                np.testing.assert_array_equal(
+                    scalar.decisions.astype(np.int64),
+                    (multi.choices == 0).astype(np.int64),
+                )
+                assert multi.objective == scalar.objective  # bitwise
+                assert np.array_equal(multi.fill, scalar.fill)
+                for (ls, ps), (lm, pm) in zip(scalar.prices_used, multi.prices_used):
+                    assert ls == lm
+                    assert np.array_equal(ps.p, pm.p)
+            for eta in (0.0, None):
+                assert lemma_kkt_oracle(inst, eta, seed) == lemma_kkt_oracle(minst, eta, seed)
 
 
 class TestAdwords:
