@@ -2,7 +2,9 @@
 
 The decision kernel lives here: ``decide`` applies the price rule and the
 capacity guard to a range of arrivals under one price, and ``run_epochs``
-drives it between learning checkpoints.  Both read the k-option view of
+drives it between learning checkpoints.  ``packing_lp`` builds every LP the
+package solves (prefix, offline and sampled) and ``dual_price`` reads the
+row prices off its solution.  All of them read the k-option view of
 ``options``, in which a scalar instance is a multi-choice one with k = 1.
 """
 
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .lp import BoxedLp
 
 
 def ceil_snap(x: float) -> int:
@@ -40,6 +44,37 @@ def options(inst) -> tuple[np.ndarray, np.ndarray]:
     if inst.rewards.ndim == 1:
         return inst.rewards[:, None], inst.consumption[:, None, :]
     return inst.rewards, np.ascontiguousarray(inst.consumption.transpose(0, 2, 1))
+
+
+def packing_lp(rewards, consumption, b, n: int, shrink: float) -> BoxedLp:
+    """The LP over the given arrivals with capacities (1-shrink)*(ell/n)*b.
+
+    ``rewards`` (ell, k) and ``consumption`` (ell, k, m) are arrivals in the
+    k-option view.  The LP has one variable per (arrival, option) pair, at
+    position t*k + j, and the m resource rows first.  For k > 1 one "pick at
+    most one" row per arrival follows; only the resource-row duals are
+    prices.  For k = 1 those rows would restate the 0..1 box, so they are
+    omitted: a scalar instance's LP is the plain packing LP and learns the
+    same prices as its k = 1 embedding.
+    """
+    ell, k, m = consumption.shape
+    d = (1.0 - shrink) * (ell / n) * b
+    resources = consumption.reshape(ell * k, m).T
+    if k == 1:
+        A = np.ascontiguousarray(resources)
+    else:
+        A = np.zeros((m + ell, ell * k))
+        A[:m] = resources
+        A[m + np.repeat(np.arange(ell), k), np.arange(ell * k)] = 1.0
+        d = np.concatenate([d, np.ones(ell)])
+    return BoxedLp(c=rewards.reshape(-1), A=A, d=d)
+
+
+def dual_price(sol, m: int):
+    """The DualPrice of the first m rows of an LP solution, roundoff negatives clipped."""
+    from .model import DualPrice  # imported here: model imports this module
+
+    return DualPrice(p=np.maximum(sol.dual[:m], 0.0))
 
 
 def decide(p, rewards, consumption, lo: int, hi: int, remaining, choices) -> int:

@@ -15,10 +15,12 @@ model and both keeping every capacity constraint satisfied at every step:
 ``step`` exposes the same logic one arrival at a time for streaming use;
 folding it over a column sequence reproduces the batch runs exactly.
 
-This module owns the schedule (where prices are learned) and the prefix LP
-(what they are learned from).  The price rule and the capacity guard are
-the decision kernel in ``_core``, shared with the multi-choice policy: the
-batch runs hand it one price epoch at a time, ``step`` one arrival.
+This module owns the schedule (where prices are learned and with what
+capacity shrink).  The prefix LP the prices are learned from comes from
+``_core.packing_lp``, and the price rule and the capacity guard are the
+decision kernel in ``_core``; both are shared with the multi-choice policy.
+The batch runs hand the kernel one price epoch at a time, ``step`` one
+arrival.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import ceil_snap, decide, options, price_rule, run_epochs
+from ._core import ceil_snap, decide, dual_price, options, packing_lp, price_rule, run_epochs
 from .errors import DegenerateWindow, DimensionMismatch, NonpositiveReward, StreamExhausted
 from .lp import BoxedLp, solve_boxed_lp
 from .model import Column, DualPrice, Instance, MultiInstance, RunResult
@@ -97,22 +99,18 @@ def allocation_rule(price: DualPrice, col: Column) -> int:
     return int(price_rule(price.p, [[col.pi]], col.a[None, None, :])[0] >= 0)
 
 
-def sample_lp(inst: Instance, ell: int, shrink: float) -> BoxedLp:
-    """The prefix LP over columns 1..ell with capacities (1-shrink)*(ell/n)*b."""
+def sample_lp(inst: Instance | MultiInstance, ell: int, shrink: float) -> BoxedLp:
+    """The prefix LP over columns 1..ell with capacities (1-shrink)*(ell/n)*b.
+
+    Either instance kind: a multi-choice instance's LP also has one "pick at
+    most one" row per arrival.
+    """
     if not 1 <= ell <= inst.n:
         raise ValueError(f"ell must be in [1, n], got ell={ell}, n={inst.n}")
     if not 0.0 <= shrink < 1.0:
         raise ValueError(f"shrink must be in [0, 1), got {shrink}")
-    return _prefix_lp(inst.rewards[:ell], inst.consumption[:ell], inst.b, inst.n, ell, shrink)
-
-
-def _prefix_lp(rewards, consumption, b, n, ell, shrink) -> BoxedLp:
-    d = (1.0 - shrink) * (ell / n) * b
-    return BoxedLp(c=rewards, A=np.ascontiguousarray(consumption.T), d=d)
-
-
-def _price(lp: BoxedLp) -> DualPrice:
-    return DualPrice(p=np.maximum(solve_boxed_lp(lp).dual, 0.0))
+    rewards, consumption = options(inst)
+    return packing_lp(rewards[:ell], consumption[:ell], inst.b, inst.n, shrink)
 
 
 def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
@@ -124,7 +122,7 @@ def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
         shrink: capacity shrink factor in [0, 1); the prefix LP right-hand
             side is (1 - shrink) * (ell / n) * b.
     """
-    return _price(sample_lp(inst, ell, shrink))
+    return dual_price(solve_boxed_lp(sample_lp(inst, ell, shrink)), inst.m)
 
 
 def _schedule(n: int, eps: float, mode: str) -> list[int]:
@@ -230,9 +228,9 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
         while state._next_point < len(state.schedule) and state.schedule[state._next_point] < t:
             ell = state.schedule[state._next_point]
             shrink = _shrink(ell, state.n, state.eps, state.mode)
-            price = _price(_prefix_lp(
-                state._seen_pi[:ell], state._seen_a[:ell], state.b, state.n, ell, shrink
-            ))
+            price = dual_price(solve_boxed_lp(packing_lp(
+                state._seen_pi[:ell, None], state._seen_a[:ell, None], state.b, state.n, shrink
+            )), state.m)
             state.prices_used.append((ell, price))
             state.current_price = price
             state._next_point += 1

@@ -11,7 +11,7 @@ generating parameters in ``meta``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,16 +199,9 @@ def shuffle(inst: Instance | MultiInstance, seed: int):
     perm = np.random.default_rng(seed).permutation(inst.n)
     meta = dict(inst.meta or {})
     meta["shuffle_seed"] = seed
-    if isinstance(inst, MultiInstance):
-        return MultiInstance(
-            m=inst.m, n=inst.n, k=inst.k, b=inst.b.copy(),
-            rewards=inst.rewards[perm].copy(),
-            consumption=inst.consumption[perm].copy(), meta=meta,
-        )
-    return Instance(
-        m=inst.m, n=inst.n, b=inst.b.copy(),
-        rewards=inst.rewards[perm].copy(),
-        consumption=inst.consumption[perm].copy(), meta=meta,
+    return replace(
+        inst, b=inst.b.copy(), rewards=inst.rewards[perm],
+        consumption=inst.consumption[perm], meta=meta,
     )
 
 

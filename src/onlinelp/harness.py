@@ -19,12 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import ceil_snap, decide, dispatch, objective, onehot, options, price_rule
+from ._core import (
+    ceil_snap, decide, dispatch, dual_price, objective, onehot, options, packing_lp, price_rule,
+)
 # run_ola, run_dpa and run_dpa_multi are called through this module by dispatch.
 from .engine import run_dpa, run_ola, sample_lp
 from .errors import DegenerateWindow
 from .generators import shuffle
-from .lp import BoxedLp, perturb_rewards, perturb_rewards_multi, solve_boxed_lp
+from .lp import perturb_rewards, solve_boxed_lp
 from .model import DualPrice, Instance, MultiInstance, MultiRunResult, RunResult
 from .multi import flatten_lp, run_dpa_multi
 
@@ -50,13 +52,9 @@ def offline_opt(inst: Instance | MultiInstance) -> tuple[float, np.ndarray, Dual
     instances get shape (n,).  The LP relaxation allows fractional x, so the
     value upper-bounds every feasible integral allocation.
     """
-    if isinstance(inst, MultiInstance):
-        sol = solve_boxed_lp(flatten_lp(inst))
-        x = sol.x[: inst.n * inst.k].reshape(inst.n, inst.k)
-        return sol.objective, x, DualPrice(p=np.maximum(sol.dual[: inst.m], 0.0))
-    lp = BoxedLp(c=inst.rewards, A=np.ascontiguousarray(inst.consumption.T), d=inst.b)
-    sol = solve_boxed_lp(lp)
-    return sol.objective, sol.x, DualPrice(p=np.maximum(sol.dual, 0.0))
+    sol = solve_boxed_lp(flatten_lp(inst))
+    x = sol.x[: inst.rewards.size].reshape(inst.rewards.shape)
+    return sol.objective, x, dual_price(sol, inst.m)
 
 
 def greedy_baseline(inst: Instance | MultiInstance):
@@ -182,8 +180,7 @@ def lemma_kkt_oracle(
     most m: only columns priced exactly at their reward, or left fractional
     by the basis, can disagree.
     """
-    perturb = perturb_rewards_multi if isinstance(inst, MultiInstance) else perturb_rewards
-    pert = perturb(inst, eta, seed)
+    pert = perturb_rewards(inst, eta, seed)
     _, x, price = offline_opt(pert)
     rewards, consumption = options(pert)
     ruled = onehot(price_rule(price.p, rewards.tolist(), consumption), rewards.shape[1])
@@ -241,12 +238,9 @@ def column_sample_solve(inst: Instance, eps: float, seed: int = 0) -> ColumnSamp
     s = min(ceil_snap(prod), inst.n)
     rng = np.random.default_rng(seed)
     idx = rng.choice(inst.n, size=s, replace=False)
-    d = (1.0 - eps) * (s / inst.n) * inst.b
-    lp = BoxedLp(
-        c=inst.rewards[idx], A=np.ascontiguousarray(inst.consumption[idx].T), d=d
-    )
-    price = DualPrice(p=np.maximum(solve_boxed_lp(lp).dual, 0.0))
     rewards, consumption = options(inst)
+    lp = packing_lp(rewards[idx], consumption[idx], inst.b, inst.n, eps)
+    price = dual_price(solve_boxed_lp(lp), inst.m)
     remaining = inst.b.copy()
     choices = np.full(inst.n, -1, dtype=np.int64)
     blocked = decide(price.p, rewards.tolist(), consumption, 0, inst.n, remaining, choices)

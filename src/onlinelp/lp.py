@@ -26,16 +26,23 @@ Implementation notes, since the details matter for reproducibility:
 * The basis inverse is maintained explicitly with rank-one pivot updates and
   refactorized from scratch periodically (and once more at termination)
   to keep drift out of the reported solution.
+
+The module depends only on numpy and ``errors``, so ``_core`` can build its
+LPs on ``BoxedLp``.  ``perturb_rewards`` copies either instance kind with
+``dataclasses.replace`` rather than naming the classes of ``model``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CycleLimitExceeded, DimensionMismatch, InternalError
-from .model import Instance, MultiInstance
+
+if TYPE_CHECKING:
+    from .model import Instance, MultiInstance
 
 __all__ = [
     "AT_LOWER",
@@ -293,43 +300,31 @@ def verify_complementary_slackness(
     return out
 
 
-def _perturbed(rewards: np.ndarray, eta: float | None, seed: int) -> tuple[np.ndarray, float]:
-    if eta is None:
-        peak = float(rewards.max()) if rewards.size else 0.0
-        eta = 1e-9 * peak
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if eta == 0.0:
-        return rewards.copy(), 0.0
-    rng = np.random.default_rng(seed)
-    return rewards + rng.uniform(0.0, eta, size=rewards.shape), eta
-
-
-def perturb_rewards(inst: Instance, eta: float | None = None, seed: int = 0) -> Instance:
-    """Add independent Uniform[0, eta) noise to every reward.
+def perturb_rewards(
+    inst: Instance | MultiInstance, eta: float | None = None, seed: int = 0
+) -> Instance | MultiInstance:
+    """Add independent Uniform[0, eta) noise to every reward (every option's).
 
     Breaks reward ties so that, with probability one, at most m columns sit
     exactly on the price hyperplane of any fixed dual vector.  ``eta=None``
     picks 1e-9 times the largest reward; ``eta=0`` returns an unmodified
     copy.  Deterministic for a fixed seed.
     """
-    rewards, eta_used = _perturbed(inst.rewards, eta, seed)
+    rewards = inst.rewards
+    if eta is None:
+        eta = 1e-9 * (float(rewards.max()) if rewards.size else 0.0)
+    if eta < 0:
+        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if eta == 0.0:
+        rewards, eta = rewards.copy(), 0.0
+    else:
+        rewards = rewards + np.random.default_rng(seed).uniform(0.0, eta, size=rewards.shape)
     meta = dict(inst.meta or {})
-    meta["perturbation"] = {"eta": eta_used, "seed": seed}
-    return Instance(
-        m=inst.m, n=inst.n, b=inst.b.copy(),
-        rewards=rewards, consumption=inst.consumption.copy(), meta=meta,
+    meta["perturbation"] = {"eta": eta, "seed": seed}
+    return replace(
+        inst, b=inst.b.copy(), rewards=rewards, consumption=inst.consumption.copy(), meta=meta
     )
 
 
-def perturb_rewards_multi(
-    minst: MultiInstance, eta: float | None = None, seed: int = 0
-) -> MultiInstance:
-    """Multi-choice analog of perturb_rewards: noise on every option reward."""
-    rewards, eta_used = _perturbed(minst.rewards, eta, seed)
-    meta = dict(minst.meta or {})
-    meta["perturbation"] = {"eta": eta_used, "seed": seed}
-    return MultiInstance(
-        m=minst.m, n=minst.n, k=minst.k, b=minst.b.copy(),
-        rewards=rewards, consumption=minst.consumption.copy(), meta=meta,
-    )
+# The multi-choice name, kept for callers: perturb_rewards takes either kind.
+perturb_rewards_multi = perturb_rewards

@@ -20,7 +20,7 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from ._core import real
+from ._core import onehot, real
 from .errors import DimensionMismatch, ParseError
 
 __all__ = [
@@ -47,6 +47,18 @@ def _as_float_vector(x, name: str) -> np.ndarray:
     return arr
 
 
+def _check_entries(rewards: np.ndarray, consumption: np.ndarray) -> None:
+    """The entry checks of every arrival type and instance.
+
+    Rewards must be finite and nonnegative, consumption entries in [0, 1];
+    the comparisons are written so that NaN fails them.
+    """
+    if rewards.size and not (rewards.min() >= 0.0 and rewards.max() < np.inf):
+        raise ValueError("rewards must be finite and nonnegative")
+    if consumption.size and not (consumption.min() >= 0.0 and consumption.max() <= 1.0):
+        raise ValueError("consumption entries must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class Column:
     """One arrival: reward ``pi`` and per-row consumption ``a`` in [0, 1]^m."""
@@ -55,13 +67,13 @@ class Column:
     a: np.ndarray
 
     def __post_init__(self):
-        a = _as_float_vector(self.a, "a")
+        pi = float(self.pi)
+        a = np.asarray(self.a, dtype=np.float64)
+        if a.ndim != 1:
+            raise DimensionMismatch(f"a must be one-dimensional, got shape {a.shape}")
+        _check_entries(np.float64(pi), a)
+        object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "pi", float(self.pi))
-        if self.pi < 0:
-            raise ValueError(f"column reward must be nonnegative, got {self.pi}")
-        if a.size and (a.min() < 0.0 or a.max() > 1.0):
-            raise ValueError("column consumption entries must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -72,26 +84,47 @@ class MultiColumn:
     G: np.ndarray
 
     def __post_init__(self):
-        f = _as_float_vector(self.f, "f")
+        f = np.asarray(self.f, dtype=np.float64)
         G = np.asarray(self.G, dtype=np.float64)
-        if G.ndim != 2:
-            raise DimensionMismatch(f"G must be two-dimensional, got shape {G.shape}")
-        if G.shape[1] != f.size:
+        if f.ndim != 1 or G.ndim != 2 or G.shape[1] != f.size:
             raise DimensionMismatch(
-                f"G has {G.shape[1]} option columns but f has {f.size} entries"
+                f"f must have shape (k,) and G shape (m, k), got {f.shape} and {G.shape}"
             )
-        if not np.all(np.isfinite(G)):
-            raise ValueError("G contains non-finite entries")
-        if f.size and f.min() < 0.0:
-            raise ValueError("option rewards must be nonnegative")
-        if G.size and (G.min() < 0.0 or G.max() > 1.0):
-            raise ValueError("option consumption entries must lie in [0, 1]")
+        _check_entries(f, G)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "G", G)
 
     @property
     def k(self) -> int:
         return self.f.size
+
+
+def _validate(inst, option_shape: tuple[int, ...]) -> None:
+    """Coerce and check an instance in place; ``option_shape`` is () or (k,).
+
+    Rewards have shape (n, *option_shape) and consumption (n, m, *option_shape).
+    """
+    inst.b = _as_float_vector(inst.b, "b")
+    inst.rewards = np.asarray(inst.rewards, dtype=np.float64)
+    inst.consumption = np.asarray(inst.consumption, dtype=np.float64)
+    for name, shape in (
+        ("b", (inst.m,)),
+        ("rewards", (inst.n, *option_shape)),
+        ("consumption", (inst.n, inst.m, *option_shape)),
+    ):
+        if getattr(inst, name).shape != shape:
+            raise DimensionMismatch(
+                f"{name} has shape {getattr(inst, name).shape}, expected {shape}"
+            )
+    if min((inst.m, inst.n, *option_shape)) < 1:
+        raise ValueError("instance needs at least one row, one column and one option")
+    if np.any(inst.b <= 0.0):
+        raise ValueError("capacities must be strictly positive")
+    _check_entries(inst.rewards, inst.consumption)
+    if inst.meta is not None and not isinstance(inst.meta, dict):
+        raise ValueError(
+            f"meta must be a dict or None (a JSON object or null), got {type(inst.meta).__name__}"
+        )
 
 
 @dataclass
@@ -115,31 +148,7 @@ class Instance:
     meta: dict | None = None
 
     def __post_init__(self):
-        self.b = _as_float_vector(self.b, "b")
-        self.rewards = _as_float_vector(self.rewards, "rewards")
-        self.consumption = np.asarray(self.consumption, dtype=np.float64)
-        if self.b.shape != (self.m,):
-            raise DimensionMismatch(f"b has shape {self.b.shape}, expected ({self.m},)")
-        if self.rewards.shape != (self.n,):
-            raise DimensionMismatch(
-                f"rewards has shape {self.rewards.shape}, expected ({self.n},)"
-            )
-        if self.consumption.shape != (self.n, self.m):
-            raise DimensionMismatch(
-                f"consumption has shape {self.consumption.shape}, expected ({self.n}, {self.m})"
-            )
-        if self.n < 1:
-            raise ValueError("instance needs at least one column")
-        if np.any(self.b <= 0.0):
-            raise ValueError("capacities must be strictly positive")
-        if self.rewards.size and self.rewards.min() < 0.0:
-            raise ValueError("rewards must be nonnegative")
-        if self.consumption.size and (
-            self.consumption.min() < 0.0 or self.consumption.max() > 1.0
-        ):
-            raise ValueError("consumption entries must lie in [0, 1]")
-        if not np.all(np.isfinite(self.consumption)):
-            raise ValueError("consumption contains non-finite entries")
+        _validate(self, ())
 
     @classmethod
     def from_columns(cls, b, columns: list[Column], meta: dict | None = None) -> "Instance":
@@ -180,32 +189,7 @@ class MultiInstance:
     meta: dict | None = None
 
     def __post_init__(self):
-        self.b = _as_float_vector(self.b, "b")
-        self.rewards = np.asarray(self.rewards, dtype=np.float64)
-        self.consumption = np.asarray(self.consumption, dtype=np.float64)
-        if self.b.shape != (self.m,):
-            raise DimensionMismatch(f"b has shape {self.b.shape}, expected ({self.m},)")
-        if self.rewards.shape != (self.n, self.k):
-            raise DimensionMismatch(
-                f"rewards has shape {self.rewards.shape}, expected ({self.n}, {self.k})"
-            )
-        if self.consumption.shape != (self.n, self.m, self.k):
-            raise DimensionMismatch(
-                "consumption has shape "
-                f"{self.consumption.shape}, expected ({self.n}, {self.m}, {self.k})"
-            )
-        if self.n < 1 or self.k < 1:
-            raise ValueError("instance needs at least one column and one option")
-        if np.any(self.b <= 0.0):
-            raise ValueError("capacities must be strictly positive")
-        if not (np.all(np.isfinite(self.rewards)) and np.all(np.isfinite(self.consumption))):
-            raise ValueError("instance contains non-finite entries")
-        if self.rewards.size and self.rewards.min() < 0.0:
-            raise ValueError("rewards must be nonnegative")
-        if self.consumption.size and (
-            self.consumption.min() < 0.0 or self.consumption.max() > 1.0
-        ):
-            raise ValueError("consumption entries must lie in [0, 1]")
+        _validate(self, (self.k,))
 
     def column(self, t: int) -> MultiColumn:
         return MultiColumn(f=self.rewards[t].copy(), G=self.consumption[t].copy())
@@ -274,10 +258,7 @@ class MultiRunResult:
 
     def decisions_onehot(self, k: int) -> np.ndarray:
         """Decisions as an (n, k) 0/1 array."""
-        out = np.zeros((self.choices.size, k), dtype=np.int8)
-        taken = np.flatnonzero(self.choices >= 0)
-        out[taken, self.choices[taken]] = 1
-        return out
+        return onehot(self.choices, k).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +317,11 @@ def instance_from_json(text: str) -> AnyInstance:
     for key in ("m", "n", "b", "columns"):
         if key not in obj:
             raise ParseError(f"missing required key {key!r}")
+    for key in ("m", "n", "k"):
+        # type(), not isinstance(): JSON true and false load as bool, a subclass of int.
+        if key in obj and type(obj[key]) is not int:
+            raise ParseError(f"{key} must be an integer, got {json.dumps(obj[key])}")
     m, n = obj["m"], obj["n"]
-    if not (isinstance(m, int) and isinstance(n, int)):
-        raise ParseError("m and n must be integers")
     cols = obj["columns"]
     if not isinstance(cols, list) or len(cols) != n:
         raise ParseError(f"columns must be a list of length n={n}")
@@ -346,8 +329,6 @@ def instance_from_json(text: str) -> AnyInstance:
     try:
         if "k" in obj:
             k = obj["k"]
-            if not isinstance(k, int):
-                raise ParseError("k must be an integer")
             rewards = np.empty((n, k), dtype=np.float64)
             consumption = np.empty((n, m, k), dtype=np.float64)
             for t, col in enumerate(cols):

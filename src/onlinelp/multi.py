@@ -11,20 +11,18 @@ the scalar policies run as k = 1.
 The prefix LP flattens the first ``ell`` arrivals into one boxed LP: one
 scalar variable per (arrival, option) pair, the m resource rows scaled and
 shrunk exactly as in the scalar case, plus one "pick at most one" row per
-arrival.  Only the m resource-row duals feed the allocation rule.  For
-k = 1 the pick-one rows literally restate the 0..1 box and are omitted, so
-the k = 1 prefix LP is the scalar one and learns the same prices.
+arrival.  Only the m resource-row duals feed the allocation rule.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._core import options, price_rule, run_epochs
+from ._core import dual_price, options, price_rule, run_epochs
 from .errors import AllZeroBids, DimensionMismatch
-from .engine import geometric_schedule, h_factor
+from .engine import geometric_schedule, h_factor, sample_lp
 from .lp import BoxedLp, solve_boxed_lp
-from .model import DualPrice, MultiColumn, MultiInstance, MultiRunResult
+from .model import DualPrice, Instance, MultiColumn, MultiInstance, MultiRunResult
 
 __all__ = [
     "MultiDecision",
@@ -53,41 +51,21 @@ def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> MultiDecision:
     return None if r < 0 else r
 
 
-def _flatten(rewards: np.ndarray, consumption: np.ndarray, d_res: np.ndarray) -> BoxedLp:
-    ell, m, k = consumption.shape[0], consumption.shape[1], consumption.shape[2]
-    c = rewards.reshape(-1)  # variable (t, j) lands at position t*k + j
-    if k == 1:
-        return BoxedLp(
-            c=c, A=np.ascontiguousarray(consumption[:, :, 0].T), d=d_res
-        )
-    A = np.zeros((m + ell, ell * k))
-    A[:m, :] = np.transpose(consumption, (1, 0, 2)).reshape(m, ell * k)
-    rows = np.repeat(np.arange(ell), k)
-    A[m + rows, np.arange(ell * k)] = 1.0
-    d = np.concatenate([d_res, np.ones(ell)])
-    return BoxedLp(c=c, A=A, d=d)
-
-
-def flatten_lp(minst: MultiInstance, ell: int | None = None, shrink: float = 0.0) -> BoxedLp:
+def flatten_lp(
+    minst: Instance | MultiInstance, ell: int | None = None, shrink: float = 0.0
+) -> BoxedLp:
     """Flatten the first ``ell`` arrivals (default all) into one boxed LP.
 
     The resource rows get capacities (1 - shrink) * (ell / n) * b; with
-    ``ell = n`` and ``shrink = 0`` this is the full offline LP.
+    ``ell = n`` and ``shrink = 0`` this is the full offline LP.  Built by
+    ``_core.packing_lp``, so a scalar instance gets the scalar LP.
     """
-    if ell is None:
-        ell = minst.n
-    if not 1 <= ell <= minst.n:
-        raise ValueError(f"ell must be in [1, n], got ell={ell}, n={minst.n}")
-    if not 0.0 <= shrink < 1.0:
-        raise ValueError(f"shrink must be in [0, 1), got {shrink}")
-    d_res = (1.0 - shrink) * (ell / minst.n) * minst.b
-    return _flatten(minst.rewards[:ell], minst.consumption[:ell], d_res)
+    return sample_lp(minst, minst.n if ell is None else ell, shrink)
 
 
 def learn_price_multi(minst: MultiInstance, ell: int, shrink: float) -> DualPrice:
     """Resource-row duals of the flattened prefix LP (pick-one rows not priced)."""
-    sol = solve_boxed_lp(flatten_lp(minst, ell, shrink))
-    return DualPrice(p=np.maximum(sol.dual[: minst.m], 0.0))
+    return dual_price(solve_boxed_lp(flatten_lp(minst, ell, shrink)), minst.m)
 
 
 def run_dpa_multi(minst: MultiInstance, eps: float) -> MultiRunResult:

@@ -122,6 +122,17 @@ class TestRun:
         bad.write_text("{this is not json")
         assert main(["run", "-i", str(bad), "--algo", "ola"]) == 3
 
+    @pytest.mark.parametrize("field, value", [("meta", [1, 2]), ("meta", "abc"), ("m", True)])
+    def test_bad_field_is_data_error(self, routing_file, tmp_path, capsys, field, value):
+        obj = json.loads(routing_file.read_text())
+        obj[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["run", "-i", str(bad), "--algo", "dpa", "--eps", "0.1",
+                     "--shuffle-seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and "Traceback" not in err
+
     def test_degenerate_eps_is_data_error(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.json"
         save_instance(Instance(m=1, n=4, b=np.array([2.0]),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             Column(pi=-0.1, a=np.array([0.5]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_arrivals_reject_non_finite_reward(self, bad):
+        with pytest.raises(ValueError):
+            Column(pi=bad, a=np.array([0.5]))
+        with pytest.raises(ValueError):
+            MultiColumn(f=np.array([1.0, bad]), G=np.full((1, 2), 0.5))
+
     def test_column_rejects_consumption_outside_unit_box(self):
         with pytest.raises(ValueError):
             Column(pi=1.0, a=np.array([1.2]))
@@ -54,6 +63,14 @@ class TestValidation:
         with pytest.raises(Exception):
             Instance(m=2, n=3, b=np.array([1.0]), rewards=np.zeros(3),
                      consumption=np.zeros((3, 2)))
+
+    def test_instance_needs_a_row(self):
+        with pytest.raises(ValueError, match="row"):
+            Instance(m=0, n=1, b=np.zeros(0), rewards=np.array([1.0]),
+                     consumption=np.zeros((1, 0)))
+        with pytest.raises(ValueError, match="row"):
+            MultiInstance(m=0, n=1, k=1, b=np.zeros(0), rewards=np.ones((1, 1)),
+                          consumption=np.zeros((1, 0, 1)))
 
     def test_instance_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
@@ -127,6 +144,20 @@ class TestParseErrors:
     def test_top_level_not_object(self):
         with pytest.raises(ParseError):
             instance_from_json("[1, 2, 3]")
+
+    @pytest.mark.parametrize("meta", ["[1, 2]", '"abc"', "3"])
+    def test_meta_not_object(self, meta):
+        for head in ('"m": 1, "n": 1, "b": [1.0], "columns": [{"pi": 1.0, "a": [0.5]}]',
+                     '"m": 1, "n": 1, "k": 1, "b": [1.0], "columns": [{"f": [1.0], "G": [[0.5]]}]'):
+            with pytest.raises(ParseError, match="meta"):
+                instance_from_json("{" + head + ', "meta": ' + meta + "}")
+
+    @pytest.mark.parametrize("key", ["m", "n", "k"])
+    def test_boolean_dimension(self, key):
+        obj = {"m": 1, "n": 1, "k": 1, "b": [1.0], "columns": [{"f": [1.0], "G": [[0.5]]}]}
+        obj[key] = True
+        with pytest.raises(ParseError, match=f"{key} must be an integer, got true"):
+            instance_from_json(json.dumps(obj))
 
 
 def test_run_result_accepted_counts_ones():

@@ -14,8 +14,12 @@ from onlinelp import (
     learn_price_multi,
     lemma_kkt_oracle,
     multi_allocation_rule,
+    offline_opt,
+    perturb_rewards,
     run_dpa,
     run_dpa_multi,
+    sample_lp,
+    shuffle,
     solve_boxed_lp,
 )
 
@@ -154,6 +158,21 @@ class TestRunDpaMulti:
                     assert np.array_equal(ps.p, pm.p)
             for eta in (0.0, None):
                 assert lemma_kkt_oracle(inst, eta, seed) == lemma_kkt_oracle(minst, eta, seed)
+            for ell, shrink in ((n, 0.0), (n // 3, 0.3)):
+                lp, flat = sample_lp(inst, ell, shrink), flatten_lp(minst, ell, shrink)
+                for name in ("c", "A", "d"):
+                    assert getattr(lp, name).tobytes() == getattr(flat, name).tobytes()
+            (v, x, p), (vm, xm, pm) = offline_opt(inst), offline_opt(minst)
+            assert v == vm and np.array_equal(p.p, pm.p)
+            assert x.shape == (n,) and xm.shape == (n, 1)
+            assert np.array_equal(x, xm[:, 0])
+            copies = [(shuffle(inst, seed), shuffle(minst, seed))] + [
+                (perturb_rewards(inst, eta, seed), perturb_rewards(minst, eta, seed))
+                for eta in (0.0, None)
+            ]
+            for scalar, multi in copies:
+                assert np.array_equal(scalar.rewards, multi.rewards[:, 0])
+                assert np.array_equal(scalar.consumption, multi.consumption[:, :, 0])
 
 
 class TestAdwords:
