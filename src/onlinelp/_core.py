@@ -1,8 +1,11 @@
 """Private helpers shared by the package's modules.
 
-The decision kernel lives here: ``decide`` applies the price rule and the
-capacity guard to a range of arrivals under one price, and ``run_epochs``
-drives it between learning checkpoints.  ``packing_lp`` builds every LP the
+The policy loop lives here.  ``schedule`` lists the checkpoints at which
+prices are learned and the capacity shrink of each, ``learn_until`` walks
+that list up to an arrival and returns the price that governs it, and
+``decide`` applies the price rule and the capacity guard to a range of
+arrivals under one price; ``run_epochs`` is the batch walk and
+``engine.step`` the one-arrival walk.  ``packing_lp`` builds every LP the
 package solves (prefix, offline and sampled) and ``dual_price`` reads the
 row prices off its solution.  All of them read the k-option view of
 ``options``, in which a scalar instance is a multi-choice one with k = 1.
@@ -14,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import DegenerateWindow
 from .lp import BoxedLp
 
 
@@ -28,6 +32,76 @@ def ceil_snap(x: float) -> int:
     if abs(x - nearest) <= 1e-9 * max(1.0, abs(x)):
         return int(nearest)
     return int(math.ceil(x))
+
+
+def sample_size(n: int, eps: float) -> int:
+    """ceil(n*eps), the number of columns learned from; at least one.
+
+    Raises ValueError unless 0 < eps < 1, and DegenerateWindow when
+    n*eps < 1 leaves no column to learn from.
+    """
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    prod = n * eps
+    if prod < 1.0 - 1e-9:
+        raise DegenerateWindow(f"n*eps = {prod:.6g} < 1 leaves no columns to learn from")
+    return ceil_snap(prod)
+
+
+def h_factor(ell: int, n: int, eps: float) -> float:
+    """Capacity shrink used when learning from the first ``ell`` of ``n`` columns.
+
+    Equal to eps * sqrt(n / ell): largest (sqrt(1/eps) * eps) at the first
+    update point ell = n*eps, decaying to eps at ell = n.
+    """
+    if not 1 <= ell <= n:
+        raise ValueError(f"ell must be in [1, n], got ell={ell}, n={n}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    return eps * math.sqrt(n / ell)
+
+
+def geometric_schedule(n: int, eps: float) -> list[int]:
+    """Price-update points ceil(2^r * n * eps) for r = 0, 1, ... while < n."""
+    points = [sample_size(n, eps)]
+    if points[0] >= n:
+        raise DegenerateWindow(f"ceil(n*eps) = {points[0]} >= n = {n} leaves no decisions to make")
+    base = n * eps
+    while True:
+        ell = ceil_snap(base * (1 << len(points)))
+        if ell >= n:
+            return points
+        points.append(ell)
+
+
+def schedule(n: int, eps: float, mode: str) -> list[tuple[int, float]]:
+    """The checkpoints ``(ell, shrink)`` of a policy over n arrivals.
+
+    ``ola`` learns once, from the window ceil(n*eps) (the first
+    ``geometric_schedule`` point), with shrink eps; ``dpa`` learns at every
+    point with the ``h_factor`` shrink.  The price learned at ``ell``
+    governs arrivals ``ell+1`` up to the next checkpoint.
+    """
+    points = geometric_schedule(n, eps)
+    if mode == "ola":
+        return [(points[0], eps)]
+    if mode == "dpa":
+        return [(ell, h_factor(ell, n, eps)) for ell in points]
+    raise ValueError(f"mode must be 'ola' or 'dpa', got {mode!r}")
+
+
+def learn_until(t: int, points, prices_used: list, learn):
+    """The price governing arrival ``t`` (0-based), or None in the first window.
+
+    Learns, in order, every checkpoint ``(ell, shrink)`` of ``points`` with
+    ``ell <= t`` that ``prices_used`` does not log yet, calling
+    ``learn(ell, shrink)`` and appending ``(ell, price)``.  The batch runs
+    call it once per price epoch, ``step`` once per arrival.
+    """
+    while len(prices_used) < len(points) and points[len(prices_used)][0] <= t:
+        ell, shrink = points[len(prices_used)]
+        prices_used.append((ell, learn(ell, shrink)))
+    return prices_used[-1][1] if prices_used else None
 
 
 def real(x: float) -> str:
@@ -132,22 +206,23 @@ def price_rule(p, rewards, consumption) -> np.ndarray:
     return choices
 
 
-def run_epochs(rewards, consumption, b, points: list[int], learn):
-    """The pricing policy: learn at each checkpoint, then decide until the next.
+def run_epochs(rewards, consumption, b, points, learn):
+    """The pricing policy over a whole instance, one price epoch at a time.
 
-    ``learn(ell)`` returns the DualPrice learned from the first ``ell``
-    arrivals; it governs arrivals ``ell+1 .. next checkpoint`` (the last one
-    up to n).  Arrivals up to the first checkpoint are declined.  Returns
-    the fields of a run result: (choices, objective, fill, prices_used).
+    ``points`` is a ``schedule`` and ``learn(ell, shrink)`` returns the
+    DualPrice learned from the first ``ell`` arrivals with that shrink; it
+    governs arrivals ``ell+1 .. next checkpoint`` (the last one up to n).
+    Arrivals up to the first checkpoint are declined.  Returns the fields
+    of a run result: (choices, objective, fill, prices_used).
     """
     n = rewards.shape[0]
     f = rewards.tolist()
     remaining = np.array(b, dtype=np.float64)
     choices = np.full(n, -1, dtype=np.int64)
     prices_used = []
-    for ell, end in zip(points, points[1:] + [n]):
-        price = learn(ell)
-        prices_used.append((ell, price))
+    ends = [ell for ell, _ in points[1:]] + [n]
+    for (ell, _), end in zip(points, ends):
+        price = learn_until(ell, points, prices_used, learn)
         decide(price.p, f, consumption, ell, end, remaining, choices)
     return choices, objective(rewards, choices), b - remaining, prices_used
 

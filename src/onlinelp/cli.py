@@ -16,31 +16,10 @@ import sys
 
 from ._core import dispatch, options, real
 from .engine import check_input_condition
-from .errors import (
-    AllZeroBids,
-    BadSpec,
-    DegenerateWindow,
-    DimensionMismatch,
-    InternalError,
-    NonpositiveReward,
-    ParseError,
-    StreamExhausted,
-)
+from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GenSpec, generate, shuffle
 from .harness import column_sample_solve, offline_opt, run_trials
 from .model import MultiInstance, load_instance, save_instance
-
-_DATA_ERRORS = (
-    BadSpec,
-    ParseError,
-    DegenerateWindow,
-    NonpositiveReward,
-    AllZeroBids,
-    DimensionMismatch,
-    StreamExhausted,
-    ValueError,
-    OSError,
-)
 
 # gen flags that pass straight through to the generator of the chosen kind.
 _GEN_PARAMS = (
@@ -313,12 +292,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
-        print(f"onlinelp: error: {exc}", file=sys.stderr)
-        return 3
     except InternalError as exc:
         print(f"onlinelp: internal error: {exc}", file=sys.stderr)
         return 4
+    except (OnlineLpError, ValueError, OSError) as exc:
+        print(f"onlinelp: error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

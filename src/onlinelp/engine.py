@@ -15,12 +15,12 @@ model and both keeping every capacity constraint satisfied at every step:
 ``step`` exposes the same logic one arrival at a time for streaming use;
 folding it over a column sequence reproduces the batch runs exactly.
 
-This module owns the schedule (where prices are learned and with what
-capacity shrink).  The prefix LP the prices are learned from comes from
-``_core.packing_lp``, and the price rule and the capacity guard are the
-decision kernel in ``_core``; both are shared with the multi-choice policy.
-The batch runs hand the kernel one price epoch at a time, ``step`` one
-arrival.
+The schedule (where prices are learned and with what capacity shrink), its
+walk, the prefix LP and the decision kernel are written once in ``_core``
+and shared with the multi-choice policy; ``h_factor`` and
+``geometric_schedule`` are re-exported from there.  This module supplies
+the scalar learn step: the batch runs walk the schedule one price epoch at
+a time, ``step`` one arrival at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +30,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import ceil_snap, decide, dual_price, options, packing_lp, price_rule, run_epochs
-from .errors import DegenerateWindow, DimensionMismatch, NonpositiveReward, StreamExhausted
+from ._core import (
+    decide, dual_price, geometric_schedule, h_factor, learn_until, options, packing_lp,
+    price_rule, run_epochs, schedule,
+)
+from .errors import DimensionMismatch, NonpositiveReward, StreamExhausted
 from .lp import BoxedLp, solve_boxed_lp
 from .model import Column, DualPrice, Instance, MultiInstance, RunResult
 
@@ -48,46 +51,6 @@ __all__ = [
     "ConditionReport",
     "check_input_condition",
 ]
-
-
-def _learning_window(n: int, eps: float) -> int:
-    if not 0.0 < eps:
-        raise ValueError(f"eps must be positive, got {eps}")
-    prod = n * eps
-    s = ceil_snap(prod)
-    if prod < 1.0 - 1e-9:
-        raise DegenerateWindow(f"n*eps = {prod:.6g} < 1 leaves no columns to learn from")
-    if s >= n:
-        raise DegenerateWindow(f"ceil(n*eps) = {s} >= n = {n} leaves no decisions to make")
-    return s
-
-
-def h_factor(ell: int, n: int, eps: float) -> float:
-    """Capacity shrink used when learning from the first ``ell`` of ``n`` columns.
-
-    Equal to eps * sqrt(n / ell): largest (sqrt(1/eps) * eps) at the first
-    update point ell = n*eps, decaying to eps at ell = n.
-    """
-    if not 1 <= ell <= n:
-        raise ValueError(f"ell must be in [1, n], got ell={ell}, n={n}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    return eps * math.sqrt(n / ell)
-
-
-def geometric_schedule(n: int, eps: float) -> list[int]:
-    """Price-update points ceil(2^r * n * eps) for r = 0, 1, ... while < n."""
-    _learning_window(n, eps)
-    base = n * eps
-    points: list[int] = []
-    r = 0
-    while True:
-        ell = ceil_snap(base * (1 << r))
-        if ell >= n:
-            break
-        points.append(ell)
-        r += 1
-    return sorted(set(points))
 
 
 def allocation_rule(price: DualPrice, col: Column) -> int:
@@ -125,18 +88,10 @@ def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
     return dual_price(solve_boxed_lp(sample_lp(inst, ell, shrink)), inst.m)
 
 
-def _schedule(n: int, eps: float, mode: str) -> list[int]:
-    return [_learning_window(n, eps)] if mode == "ola" else geometric_schedule(n, eps)
-
-
-def _shrink(ell: int, n: int, eps: float, mode: str) -> float:
-    return eps if mode == "ola" else h_factor(ell, n, eps)
-
-
 def _run(inst: Instance, eps: float, mode: str) -> RunResult:
     choices, *outcome = run_epochs(
-        *options(inst), inst.b, _schedule(inst.n, eps, mode),
-        lambda ell: learn_price(inst, ell, _shrink(ell, inst.n, eps, mode)),
+        *options(inst), inst.b, schedule(inst.n, eps, mode),
+        lambda ell, shrink: learn_price(inst, ell, shrink),
     )
     return RunResult((choices >= 0).astype(np.int8), *outcome)
 
@@ -166,78 +121,63 @@ def run_dpa(inst: Instance, eps: float) -> RunResult:
 class OnlineState:
     """Mutable state for the streaming API; single-owner, advance with step().
 
-    Tracks remaining capacity, the arrival count, the current price, and the
-    arrivals up to the last schedule point (the window alone under OLA),
-    which are all that re-learning prices needs.
+    Holds the arrival count ``t``, the remaining capacity, the decisions so
+    far, the ``schedule`` of ``(ell, shrink)`` checkpoints with the prices
+    learned at those passed so far (``prices_used``), and the arrivals up to
+    the last checkpoint (the window alone under OLA), which are all that
+    re-learning prices needs.  The row count is ``b.size``.
     """
 
-    m: int
     n: int
     b: np.ndarray
-    eps: float
-    mode: str
-    schedule: list[int]
+    schedule: list[tuple[int, float]]
     remaining: np.ndarray
     t: int = 0
-    current_price: DualPrice | None = None
     decisions: list[int] = field(default_factory=list)
     prices_used: list[tuple[int, DualPrice]] = field(default_factory=list)
     _seen_pi: np.ndarray = field(init=False, repr=False)
     _seen_a: np.ndarray = field(init=False, repr=False)
-    _next_point: int = 0
 
     def __post_init__(self):
-        self._seen_pi = np.empty(self.schedule[-1])
-        self._seen_a = np.empty((self.schedule[-1], self.m))
+        last = self.schedule[-1][0]
+        self._seen_pi = np.empty(last)
+        self._seen_a = np.empty((last, self.b.size))
 
     @classmethod
     def start(cls, m: int, n: int, b, eps: float, mode: str = "dpa") -> "OnlineState":
-        if mode not in ("ola", "dpa"):
-            raise ValueError(f"mode must be 'ola' or 'dpa', got {mode!r}")
+        points = schedule(n, eps, mode)
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (m,):
             raise DimensionMismatch(f"b has shape {b.shape}, expected ({m},)")
-        return cls(
-            m=m, n=n, b=b.copy(), eps=eps, mode=mode,
-            schedule=_schedule(n, eps, mode), remaining=b.copy(),
-        )
+        return cls(n=n, b=b.copy(), schedule=points, remaining=b.copy())
 
-    @property
-    def window(self) -> int:
-        return self.schedule[0]
+    def _learn(self, ell: int, shrink: float) -> DualPrice:
+        pi, a = self._seen_pi[:ell, None], self._seen_a[:ell, None]
+        return dual_price(solve_boxed_lp(packing_lp(pi, a, self.b, self.n, shrink)), self.b.size)
 
 
 def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
     """Process one arrival and return (decision, state).
 
     The state is advanced in place and returned for convenience.  Raises
-    StreamExhausted once n arrivals have been processed.  Folding step over
-    an instance's columns reproduces run_ola / run_dpa decision for
-    decision.
+    StreamExhausted once n arrivals have been processed.  The price comes
+    from the same schedule walk as the batch runs, so folding step over an
+    instance's columns reproduces run_ola / run_dpa decision for decision.
     """
-    if state.t >= state.n:
+    t = state.t
+    if t >= state.n:
         raise StreamExhausted(f"all {state.n} arrivals already processed")
-    if col.a.size != state.m:
-        raise DimensionMismatch(f"column has {col.a.size} rows, state has {state.m}")
-    t = state.t + 1
-    if t <= state.schedule[-1]:
-        state._seen_pi[t - 1] = col.pi
-        state._seen_a[t - 1] = col.a
+    if col.a.size != state.b.size:
+        raise DimensionMismatch(f"column has {col.a.size} rows, state has {state.b.size}")
+    if t < state._seen_pi.size:
+        state._seen_pi[t] = col.pi
+        state._seen_a[t] = col.a
+    price = learn_until(t, state.schedule, state.prices_used, state._learn)
     choice = [-1]
-    if t > state.window:
-        while state._next_point < len(state.schedule) and state.schedule[state._next_point] < t:
-            ell = state.schedule[state._next_point]
-            shrink = _shrink(ell, state.n, state.eps, state.mode)
-            price = dual_price(solve_boxed_lp(packing_lp(
-                state._seen_pi[:ell, None], state._seen_a[:ell, None], state.b, state.n, shrink
-            )), state.m)
-            state.prices_used.append((ell, price))
-            state.current_price = price
-            state._next_point += 1
-        p = state.current_price.p
-        decide(p, [[col.pi]], col.a[None, None, :], 0, 1, state.remaining, choice)
+    if price is not None:
+        decide(price.p, [[col.pi]], col.a[None, None, :], 0, 1, state.remaining, choice)
     decision = int(choice[0] >= 0)
-    state.t = t
+    state.t = t + 1
     state.decisions.append(decision)
     return decision, state
 

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._core import (
-    ceil_snap, decide, dispatch, dual_price, objective, onehot, options, packing_lp, price_rule,
+    decide, dispatch, dual_price, objective, onehot, options, packing_lp, price_rule, sample_size,
 )
 # run_ola, run_dpa and run_dpa_multi are called through this module by dispatch.
 from .engine import run_dpa, run_ola, sample_lp
-from .errors import DegenerateWindow
 from .generators import shuffle
 from .lp import perturb_rewards, solve_boxed_lp
 from .model import DualPrice, Instance, MultiInstance, MultiRunResult, RunResult
@@ -195,11 +194,12 @@ def lemma_sample_opt_oracle(
     Returns (mean over ``trials`` shuffles of the value of the sampled LP on
     the first ceil(n*eps) columns with shrunk capacities, eps * OPT).  The
     expectation of the first term never exceeds the second; the caller
-    chooses how much sampling slack to allow on top.
+    chooses how much sampling slack to allow on top.  Raises ValueError
+    unless 0 < eps < 1 and DegenerateWindow when n*eps < 1.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    s = ceil_snap(inst.n * eps)
+    s = sample_size(inst.n, eps)
     opt, _, _ = offline_opt(inst)
     values = []
     for r in range(1, trials + 1):
@@ -230,14 +230,8 @@ def column_sample_solve(inst: Instance, eps: float, seed: int = 0) -> ColumnSamp
     ``guard_rejections`` counts columns the rule accepted but the guard
     blocked.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    prod = inst.n * eps
-    if prod < 1.0 - 1e-9:
-        raise DegenerateWindow(f"n*eps = {prod:.6g} < 1 leaves nothing to sample")
-    s = min(ceil_snap(prod), inst.n)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(inst.n, size=s, replace=False)
+    idx = rng.choice(inst.n, size=sample_size(inst.n, eps), replace=False)
     rewards, consumption = options(inst)
     lp = packing_lp(rewards[idx], consumption[idx], inst.b, inst.n, eps)
     price = dual_price(solve_boxed_lp(lp), inst.m)

@@ -4,9 +4,10 @@ Arrival ``t`` offers option rewards ``f_t`` (length k) and a consumption
 matrix ``G_t`` (m rows by k options); at most one option may be taken.  The
 pricing policy is the scalar one: learn row prices from a prefix LP, then
 take the option with the largest priced surplus ``f_j - p' G[:, j]`` when
-that surplus is positive, subject to the exact capacity guard.  The rule,
-the guard and the schedule loop are the decision kernel in ``_core``, which
-the scalar policies run as k = 1.
+that surplus is positive, subject to the exact capacity guard.  The
+schedule, its walk, the rule and the guard are written once in ``_core``,
+which the scalar policies run as k = 1; this module supplies the
+multi-choice learn step, ``learn_price_multi``.
 
 The prefix LP flattens the first ``ell`` arrivals into one boxed LP: one
 scalar variable per (arrival, option) pair, the m resource rows scaled and
@@ -18,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._core import dual_price, options, price_rule, run_epochs
+from ._core import dual_price, options, price_rule, run_epochs, schedule
 from .errors import AllZeroBids, DimensionMismatch
-from .engine import geometric_schedule, h_factor, sample_lp
+from .engine import sample_lp
 from .lp import BoxedLp, solve_boxed_lp
 from .model import DualPrice, Instance, MultiColumn, MultiInstance, MultiRunResult
 
@@ -76,10 +77,9 @@ def run_dpa_multi(minst: MultiInstance, eps: float) -> MultiRunResult:
     shrink, and between updates pick each arrival's best surplus option if
     it is positive and fits the remaining capacity in every row.
     """
-    n = minst.n
     return MultiRunResult(*run_epochs(
-        *options(minst), minst.b, geometric_schedule(n, eps),
-        lambda ell: learn_price_multi(minst, ell, h_factor(ell, n, eps)),
+        *options(minst), minst.b, schedule(minst.n, eps, "dpa"),
+        lambda ell, shrink: learn_price_multi(minst, ell, shrink),
     ))
 
 

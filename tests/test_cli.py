@@ -8,8 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from onlinelp import Instance, save_instance
+from onlinelp import CycleLimitExceeded, Instance, InternalError, cli, errors, save_instance
 from onlinelp.cli import main
+
+ERROR_CLASSES = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.OnlineLpError)
+]
 
 
 @pytest.fixture()
@@ -140,6 +145,17 @@ class TestRun:
                                consumption=np.ones((4, 1))), tiny)
         assert main(["run", "-i", str(tiny), "--algo", "dpa",
                      "--eps", "0.1"]) == 3
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_error_class(self, monkeypatch, capsys, cls):
+        def load_instance(path):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "load_instance", load_instance)
+        internal = cls in (InternalError, CycleLimitExceeded)
+        assert main(["run", "-i", "x.json", "--algo", "dpa"]) == (4 if internal else 3)
+        err = capsys.readouterr().err
+        assert "boom" in err and "Traceback" not in err
 
 
 class TestBench:

@@ -232,7 +232,9 @@ class TestStreaming:
             assert np.array_equal(np.array(stream, dtype=np.int8), batch.decisions)
             # both sides derive fill as b - remaining, so this is bitwise
             assert np.array_equal(inst.b - state.remaining, batch.fill)
-            assert len(state.prices_used) == len(batch.prices_used)
+            assert [ell for ell, _ in state.prices_used] == [ell for ell, _ in batch.prices_used]
+            for (_, ps), (_, pb) in zip(state.prices_used, batch.prices_used):
+                assert np.array_equal(ps.p, pb.p)
 
     def test_ola_mode_matches_run_ola(self):
         cases = [(unit_instance([5, 7, 9, 6, 8, 10, 3, 11, 12, 4], 3.0), 0.2)]

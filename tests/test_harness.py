@@ -164,6 +164,15 @@ class TestLemmaSampleOpt:
         assert bound == pytest.approx(0.2 * opt)
         assert mean >= 0.0
 
+    def test_validation(self):
+        # the same window check as column_sample_solve and run_ola
+        inst = routing(n=100)
+        with pytest.raises(DegenerateWindow):
+            lemma_sample_opt_oracle(inst, 0.001, trials=1)  # n*eps = 0.1
+        for eps in (0.0, -0.1, 1.5):
+            with pytest.raises(ValueError, match="eps must be in"):
+                lemma_sample_opt_oracle(inst, eps, trials=1)
+
 
 class TestColumnSampling:
     def test_feasible_and_integral(self):
@@ -207,7 +216,8 @@ class TestColumnSampling:
 
     def test_validation(self):
         inst = routing(n=50)
-        with pytest.raises(ValueError):
-            column_sample_solve(inst, 1.0)
+        for eps in (0.0, -0.1, 1.0, 1.5):
+            with pytest.raises(ValueError, match="eps must be in"):
+                column_sample_solve(inst, eps)
         with pytest.raises(DegenerateWindow):
             column_sample_solve(routing(n=5), 0.1)

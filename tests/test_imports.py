@@ -1,5 +1,5 @@
-"""Module boundaries: no module reaches into a sibling's private names, and
-one function builds every LP.
+"""Module boundaries: no module reaches into a sibling's private names, one
+function builds every LP, and the schedule is computed in one place.
 
 Helpers that several modules share live in ``onlinelp._core``; every other
 ``from .<sibling> import _name`` couples a module to another's internals.
@@ -31,17 +31,25 @@ def test_no_private_cross_module_imports():
     assert found == []
 
 
-def _boxed_lp_calls(path: Path) -> list[str]:
+def _calls(path: Path, name: str) -> list[str]:
     return [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BoxedLp"
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
     ]
 
 
 def test_one_lp_builder():
     """Every LP the package solves is built in one place outside the solver."""
     modules = sorted(Path(onlinelp.__file__).parent.glob("*.py"))
-    calls = [site for path in modules if path.name != "lp.py" for site in _boxed_lp_calls(path)]
+    calls = [site for path in modules if path.name != "lp.py" for site in _calls(path, "BoxedLp")]
     assert len(calls) == 1, calls
+
+
+def test_one_schedule():
+    """The checkpoints and their shrink are computed at one site each."""
+    modules = sorted(Path(onlinelp.__file__).parent.glob("*.py"))
+    for name in ("h_factor", "geometric_schedule"):
+        calls = [site for path in modules for site in _calls(path, name)]
+        assert len(calls) == 1, (name, calls)
