@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DegenerateWindow
 from .lp import BoxedLp
+from .model import DualPrice, onehot
 
 
 def ceil_snap(x: float) -> int:
@@ -104,11 +105,6 @@ def learn_until(t: int, points, prices_used: list, learn):
     return prices_used[-1][1] if prices_used else None
 
 
-def real(x: float) -> str:
-    """A float with 17 significant digits: enough to round-trip float64."""
-    return format(float(x), ".17g")
-
-
 def options(inst) -> tuple[np.ndarray, np.ndarray]:
     """The k-option view: rewards (n, k) and consumption (n, k, m).
 
@@ -144,10 +140,8 @@ def packing_lp(rewards, consumption, b, n: int, shrink: float) -> BoxedLp:
     return BoxedLp(c=rewards.reshape(-1), A=A, d=d)
 
 
-def dual_price(sol, m: int):
+def dual_price(sol, m: int) -> DualPrice:
     """The DualPrice of the first m rows of an LP solution, roundoff negatives clipped."""
-    from .model import DualPrice  # imported here: model imports this module
-
     return DualPrice(p=np.maximum(sol.dual[:m], 0.0))
 
 
@@ -227,34 +221,6 @@ def run_epochs(rewards, consumption, b, points, learn):
     return choices, objective(rewards, choices), b - remaining, prices_used
 
 
-def onehot(choices, k: int) -> np.ndarray:
-    """Choices as an (n, k) array of 0.0 / 1.0."""
-    out = np.zeros((choices.size, k))
-    taken = np.flatnonzero(choices >= 0)
-    out[taken, choices[taken]] = 1.0
-    return out
-
-
 def objective(rewards, choices) -> float:
     """Summed reward of the chosen options (rewards in the k-option view)."""
     return float(np.dot(rewards.reshape(-1), onehot(choices, rewards.shape[1]).reshape(-1)))
-
-
-def dispatch(inst, algo: str, eps: float):
-    """Run the policy named ``algo``, looked up on harness when called."""
-    from . import harness  # imported here: harness imports this module
-
-    multi = inst.rewards.ndim == 2
-    if algo == "greedy_baseline":
-        return harness.greedy_baseline(inst)
-    if algo == "dpa_multi":
-        if not multi:
-            raise ValueError("dpa_multi needs a multi-choice instance")
-        return harness.run_dpa_multi(inst, eps)
-    if multi:
-        raise ValueError(f"{algo} needs a scalar instance; use dpa_multi")
-    if algo == "ola":
-        return harness.run_ola(inst, eps)
-    if algo == "dpa":
-        return harness.run_dpa(inst, eps)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {harness.ALGORITHMS}")

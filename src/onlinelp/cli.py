@@ -3,6 +3,10 @@
 Every command is deterministic given its flags — all randomness flows from
 explicit seeds.  Exit codes: 0 ok, 2 flag/usage error, 3 bad input data,
 4 internal solver failure.
+
+``gen`` takes each generator's keyword parameters as ``--kebab-case`` flags
+typed by their annotations; ``run --algo`` and ``check --variant`` offer the
+library's ``ALGORITHMS`` and ``CONDITION_VARIANTS``.
 """
 
 from __future__ import annotations
@@ -13,21 +17,14 @@ import io
 import json
 import os
 import sys
+from typing import get_args
 
-from ._core import dispatch, options, real
-from .engine import check_input_condition
+from ._core import options
+from .engine import CONDITION_VARIANTS, check_input_condition
 from .errors import InternalError, NonpositiveReward, OnlineLpError
-from .generators import GenSpec, generate, shuffle
-from .harness import column_sample_solve, offline_opt, run_trials
-from .model import MultiInstance, load_instance, save_instance
-
-# gen flags that pass straight through to the generator of the chosen kind.
-_GEN_PARAMS = (
-    "m", "n", "q", "capacity", "reward_lo", "reward_hi",
-    "k", "reward_dist", "sigma",
-    "bid_lo", "bid_hi", "budget_rule", "budget", "condition_eps",
-    "horizon", "rate", "n_products", "n_resources", "price_lo", "price_hi",
-)
+from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
+from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_trials
+from .model import MultiInstance, load_instance, real, save_instance
 
 _CSV_HEADER = "algo,eps,trial,seed,objective,opt,ratio,violations,runtime_ms"
 
@@ -50,13 +47,6 @@ def _eps_value(text: str) -> float:
     return eps
 
 
-def _eps_grid(text: str) -> list[float]:
-    toks = [tok.strip() for tok in text.split(",") if tok.strip()]
-    if not toks:
-        raise argparse.ArgumentTypeError("empty eps list")
-    return [_eps_value(tok) for tok in toks]
-
-
 def _name_list(text: str) -> list[str]:
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not toks:
@@ -64,43 +54,34 @@ def _name_list(text: str) -> list[str]:
     return toks
 
 
+def _eps_grid(text: str) -> list[float]:
+    return [_eps_value(tok) for tok in _name_list(text)]
+
+
+def _gen_params() -> dict:
+    """Every generator's keyword parameters and their annotations, in order of first use."""
+    return {name: p.annotation for kind in GENERATORS for name, p in gen_parameters(kind).items()}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="onlinelp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gen = sub.add_parser("gen", help="generate an instance file")
-    gen.add_argument("--kind", required=True,
-                     choices=["routing", "secretary", "adwords", "yield"])
+    gen.add_argument("--kind", required=True, choices=list(GENERATORS))
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", required=True)
     gen.add_argument("--check-eps", type=_eps_value, default=None,
                      help="also print capacity-condition checks at this eps")
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--n", type=int)
-    gen.add_argument("--q", type=float)
-    gen.add_argument("--capacity", type=float)
-    gen.add_argument("--reward-lo", type=float)
-    gen.add_argument("--reward-hi", type=float)
-    gen.add_argument("--k", type=int)
-    gen.add_argument("--reward-dist", choices=["uniform", "heavy_tail"])
-    gen.add_argument("--sigma", type=float)
-    gen.add_argument("--bid-lo", type=float)
-    gen.add_argument("--bid-hi", type=float)
-    gen.add_argument("--budget-rule", choices=["fraction", "meet", "miss"])
-    gen.add_argument("--budget", type=float)
-    gen.add_argument("--condition-eps", type=float)
-    gen.add_argument("--horizon", type=float)
-    gen.add_argument("--rate", type=float)
-    gen.add_argument("--n-products", type=int)
-    gen.add_argument("--n-resources", type=int)
-    gen.add_argument("--price-lo", type=float)
-    gen.add_argument("--price-hi", type=float)
+    for name, annotation in _gen_params().items():
+        choices = get_args(annotation) or None
+        gen.add_argument("--" + name.replace("_", "-"),
+                         type=None if choices else annotation, choices=choices)
     gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="replay one instance with one policy")
     run.add_argument("-i", "--input", required=True)
-    run.add_argument("--algo", required=True,
-                     choices=["ola", "dpa", "dpa_multi", "greedy_baseline"])
+    run.add_argument("--algo", required=True, choices=ALGORITHMS)
     run.add_argument("--eps", type=_eps_value, default=0.1)
     run.add_argument("--shuffle-seed", type=int, default=None,
                      help="shuffle the arrival order first with this seed")
@@ -135,28 +116,31 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="capacity-size conditions (advisory)")
     check.add_argument("-i", "--input", required=True)
     check.add_argument("--eps", type=_eps_value, required=True)
-    check.add_argument("--variant", default="all",
-                       choices=["ola", "dpa", "corollary", "per_row", "all"])
+    check.add_argument("--variant", default="all", choices=[*CONDITION_VARIANTS, "all"])
     check.set_defaults(func=cmd_check)
 
     return parser
 
 
-def _abar(inst) -> "list[float]":
-    return [float(v) for v in options(inst)[1].max(axis=(0, 1))]
-
-
-def _condition_line(inst, eps: float, variant: str) -> str:
-    rep = check_input_condition(inst, eps, variant)
-    verdict = "satisfied" if rep.satisfied else "NOT satisfied"
-    return (f"condition {rep.variant} at eps={eps:g}: {verdict} "
-            f"(have {rep.lhs:.6g}, need >= {rep.rhs:.6g})")
+def _print_conditions(inst, eps: float, variants) -> None:
+    """One line per variant; among several, the corollary reads n/a on nonpositive rewards."""
+    for variant in variants:
+        try:
+            rep = check_input_condition(inst, eps, variant)
+        except NonpositiveReward:
+            if len(variants) == 1:
+                raise
+            print("condition corollary: n/a (needs strictly positive rewards)")
+            continue
+        verdict = "satisfied" if rep.satisfied else "NOT satisfied"
+        print(f"condition {rep.variant} at eps={eps:g}: {verdict} "
+              f"(have {rep.lhs:.6g}, need >= {rep.rhs:.6g})")
 
 
 def cmd_gen(args) -> int:
     params = {
         name: getattr(args, name)
-        for name in _GEN_PARAMS
+        for name in _gen_params()
         if getattr(args, name) is not None
     }
     inst = generate(GenSpec(kind=args.kind, seed=args.seed, params=params))
@@ -166,14 +150,9 @@ def cmd_gen(args) -> int:
     if isinstance(inst, MultiInstance):
         shape += f" k={inst.k}"
     print(f"wrote {args.output}: kind={args.kind} {shape} B={bmin:.6g}")
-    print("abar per row: " + " ".join(f"{v:.6g}" for v in _abar(inst)))
+    print("abar per row: " + " ".join(f"{v:.6g}" for v in options(inst)[1].max(axis=(0, 1))))
     if args.check_eps is not None:
-        for variant in ("ola", "dpa", "per_row"):
-            print(_condition_line(inst, args.check_eps, variant))
-        try:
-            print(_condition_line(inst, args.check_eps, "corollary"))
-        except NonpositiveReward:
-            print("condition corollary: n/a (needs strictly positive rewards)")
+        _print_conditions(inst, args.check_eps, ("ola", "dpa", "per_row", "corollary"))
     return 0
 
 
@@ -269,18 +248,8 @@ def cmd_sample_lp(args) -> int:
 
 def cmd_check(args) -> int:
     inst = load_instance(args.input)
-    variants = (
-        ["ola", "dpa", "corollary", "per_row"]
-        if args.variant == "all" else [args.variant]
-    )
-    for variant in variants:
-        if variant == "corollary" and args.variant == "all":
-            try:
-                print(_condition_line(inst, args.eps, variant))
-            except NonpositiveReward:
-                print("condition corollary: n/a (needs strictly positive rewards)")
-            continue
-        print(_condition_line(inst, args.eps, variant))
+    variants = CONDITION_VARIANTS if args.variant == "all" else (args.variant,)
+    _print_conditions(inst, args.eps, variants)
     return 0
 
 

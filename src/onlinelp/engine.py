@@ -49,8 +49,12 @@ __all__ = [
     "OnlineState",
     "step",
     "ConditionReport",
+    "CONDITION_VARIANTS",
     "check_input_condition",
 ]
+
+# The capacity-size checks of check_input_condition, in report order.
+CONDITION_VARIANTS = ("ola", "dpa", "corollary", "per_row")
 
 
 def allocation_rule(price: DualPrice, col: Column) -> int:
@@ -192,19 +196,6 @@ class ConditionReport:
     rhs: float
 
 
-def _dpa_threshold(m: int, n: int, eps: float) -> float:
-    return 20.0 * m * math.log(n) / eps**2
-
-
-def _ola_threshold(m: int, n: int, eps: float) -> float:
-    return 6.0 * m * math.log(n / eps) / eps**3
-
-
-def _per_row_threshold(m: int, n: int, eps: float) -> float:
-    # The option count folds into the log term; it is pinned at 1 here.
-    return 20.0 * m * math.log(n / eps) / eps**2
-
-
 def check_input_condition(
     inst: Instance | MultiInstance, eps: float, variant: str = "dpa"
 ) -> ConditionReport:
@@ -226,29 +217,24 @@ def check_input_condition(
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     m, n = inst.m, inst.n
+    lhs = float(inst.b.min())
     if variant == "ola":
-        return ConditionReport(
-            variant, float(inst.b.min()) >= _ola_threshold(m, n, eps),
-            float(inst.b.min()), _ola_threshold(m, n, eps),
-        )
-    if variant == "dpa":
-        rhs = _dpa_threshold(m, n, eps)
-        lhs = float(inst.b.min())
-        return ConditionReport(variant, lhs >= rhs, lhs, rhs)
-    if variant == "corollary":
-        rewards = inst.rewards
-        if float(rewards.min()) <= 0.0:
+        rhs = 6.0 * m * math.log(n / eps) / eps**3
+    elif variant == "dpa":
+        rhs = 20.0 * m * math.log(n) / eps**2
+    elif variant == "corollary":
+        if float(inst.rewards.min()) <= 0.0:
             raise NonpositiveReward("corollary check needs strictly positive rewards")
-        ratio = float(rewards.max() / rewards.min())
+        ratio = float(inst.rewards.max() / inst.rewards.min())
         lam = math.log(max(math.log(ratio), 1.0))
         rhs = 20.0 * (m * lam + m * m * math.log(1.0 / eps)) / eps**2
-        lhs = float(inst.b.min())
-        return ConditionReport(variant, lhs >= rhs, lhs, rhs)
-    if variant == "per_row":
+    elif variant == "per_row":
         abar = options(inst)[1].max(axis=(0, 1))
         with np.errstate(divide="ignore"):
             per_row = np.where(abar > 0.0, inst.b / np.where(abar > 0.0, abar, 1.0), np.inf)
-        rhs = _per_row_threshold(m, n, eps)
         lhs = float(per_row.min())
-        return ConditionReport(variant, bool(lhs >= rhs), lhs, rhs)
-    raise ValueError(f"unknown variant {variant!r}")
+        # The option count folds into the log term; it is pinned at 1 here.
+        rhs = 20.0 * m * math.log(n / eps) / eps**2
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return ConditionReport(variant, bool(lhs >= rhs), lhs, rhs)

@@ -6,12 +6,18 @@ instances), and a yield-management stream with Poisson arrival counts.  All
 randomness flows through ``numpy.random.default_rng(seed)``, so every family
 regenerates bit-identically for a fixed seed, and each instance records its
 generating parameters in ``meta``.
+
+``GENERATORS`` maps each kind to its generator, whose signature is the only
+record of the family's parameters: ``generate`` checks specs against it and
+the CLI derives its ``gen`` flags from it.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
@@ -21,6 +27,8 @@ from .multi import adwords_to_multi
 
 __all__ = [
     "GenSpec",
+    "GENERATORS",
+    "gen_parameters",
     "generate",
     "gen_routing",
     "gen_secretary",
@@ -74,7 +82,7 @@ def gen_routing(
 def gen_secretary(
     n: int,
     k: int,
-    reward_dist: str = "uniform",
+    reward_dist: Literal["uniform", "heavy_tail"] = "uniform",
     reward_lo: float = 0.0,
     reward_hi: float = 1.0,
     sigma: float = 3.0,
@@ -113,7 +121,7 @@ def gen_adwords(
     m: int,
     bid_lo: float = 0.1,
     bid_hi: float = 1.0,
-    budget_rule: str = "fraction",
+    budget_rule: Literal["fraction", "meet", "miss"] = "fraction",
     budget: float = 0.3,
     condition_eps: float = 0.1,
     seed: int = 0,
@@ -214,34 +222,39 @@ class GenSpec:
     params: dict = field(default_factory=dict)
 
 
-_ALLOWED = {
-    "routing": {"m", "n", "q", "capacity", "reward_lo", "reward_hi"},
-    "secretary": {"n", "k", "reward_dist", "reward_lo", "reward_hi", "sigma"},
-    "adwords": {"n", "m", "bid_lo", "bid_hi", "budget_rule", "budget", "condition_eps"},
-    "yield": {
-        "horizon", "rate", "n_products", "n_resources", "capacity",
-        "price_lo", "price_hi",
-    },
+GENERATORS = {
+    "routing": gen_routing,
+    "secretary": gen_secretary,
+    "adwords": gen_adwords,
+    "yield": gen_yield,
 }
 
 
+def gen_parameters(kind: str) -> dict[str, inspect.Parameter]:
+    """The keyword parameters of ``kind``'s generator but ``seed``, annotations evaluated."""
+    params = dict(inspect.signature(GENERATORS[kind], eval_str=True).parameters)
+    del params["seed"]
+    return params
+
+
 def generate(spec: GenSpec) -> Instance | MultiInstance:
-    """Materialize a GenSpec; adwords specs come back as multi-choice instances."""
-    if spec.kind not in _ALLOWED:
+    """Materialize a GenSpec; adwords specs come back as multi-choice instances.
+
+    BadSpec names an unknown kind and any unknown or missing parameter.
+    """
+    if spec.kind not in GENERATORS:
         raise BadSpec(f"unknown generator kind {spec.kind!r}")
-    unknown = set(spec.params) - _ALLOWED[spec.kind]
+    params = gen_parameters(spec.kind)
+    unknown = set(spec.params) - set(params)
     if unknown:
         raise BadSpec(f"unknown parameters for {spec.kind}: {sorted(unknown)}")
-    try:
-        if spec.kind == "routing":
-            return gen_routing(seed=spec.seed, **spec.params)
-        if spec.kind == "secretary":
-            return gen_secretary(seed=spec.seed, **spec.params)
-        if spec.kind == "yield":
-            return gen_yield(seed=spec.seed, **spec.params)
-        bids, budgets = gen_adwords(seed=spec.seed, **spec.params)
-    except TypeError as exc:  # missing required parameter
-        raise BadSpec(f"incomplete {spec.kind} spec: {exc}") from exc
-    inst = adwords_to_multi(bids, budgets)
+    missing = [name for name, par in params.items()
+               if par.default is par.empty and name not in spec.params]
+    if missing:
+        raise BadSpec(f"missing parameters for {spec.kind}: {missing}")
+    out = GENERATORS[spec.kind](seed=spec.seed, **spec.params)
+    if spec.kind != "adwords":
+        return out
+    inst = adwords_to_multi(*out)
     inst.meta.update({"params": dict(spec.params), "seed": spec.seed})
     return inst

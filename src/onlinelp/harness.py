@@ -19,14 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import (
-    decide, dispatch, dual_price, objective, onehot, options, packing_lp, price_rule, sample_size,
-)
-# run_ola, run_dpa and run_dpa_multi are called through this module by dispatch.
+from ._core import decide, dual_price, objective, options, packing_lp, price_rule, sample_size
 from .engine import run_dpa, run_ola, sample_lp
 from .generators import shuffle
 from .lp import perturb_rewards, solve_boxed_lp
-from .model import DualPrice, Instance, MultiInstance, MultiRunResult, RunResult
+from .model import DualPrice, Instance, MultiInstance, MultiRunResult, RunResult, onehot
 from .multi import flatten_lp, run_dpa_multi
 
 __all__ = [
@@ -42,6 +39,24 @@ __all__ = [
 ]
 
 ALGORITHMS = ("ola", "dpa", "dpa_multi", "greedy_baseline")
+
+
+def dispatch(inst: Instance | MultiInstance, algo: str, eps: float):
+    """Run the policy named ``algo``, one of ``ALGORITHMS``, on the instance."""
+    multi = inst.rewards.ndim == 2
+    if algo == "greedy_baseline":
+        return greedy_baseline(inst)
+    if algo == "dpa_multi":
+        if not multi:
+            raise ValueError("dpa_multi needs a multi-choice instance")
+        return run_dpa_multi(inst, eps)
+    if multi:
+        raise ValueError(f"{algo} needs a scalar instance; use dpa_multi")
+    if algo == "ola":
+        return run_ola(inst, eps)
+    if algo == "dpa":
+        return run_dpa(inst, eps)
+    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
 def offline_opt(inst: Instance | MultiInstance) -> tuple[float, np.ndarray, DualPrice]:

@@ -62,7 +62,7 @@ AT_LOWER = np.int8(0)
 BASIC = np.int8(1)
 AT_UPPER = np.int8(2)
 
-_FEAS_TOL = 1e-9     # feasibility slop, scaled by max(1, ||d||_inf)
+_FEAS_TOL = 1e-7     # row-violation slop, scaled by max(1, ||d||_inf)
 _GAP_TOL = 1e-7      # relative duality-gap tolerance
 _PIVOT_TOL = 1e-11   # entries smaller than this (scaled) are treated as zero
 _REFACTOR_EVERY = 200
@@ -122,12 +122,11 @@ class LpSolution:
         return float(lp.d @ self.dual + np.maximum(rc, 0.0).sum())
 
 
-def solve_boxed_lp(lp: BoxedLp, tol: float = _FEAS_TOL, pivot_cap: int | None = None) -> LpSolution:
+def solve_boxed_lp(lp: BoxedLp, pivot_cap: int | None = None) -> LpSolution:
     """Solve the boxed LP to optimality.
 
     Args:
         lp: problem data.
-        tol: feasibility tolerance, scaled internally by max(1, ||d||_inf).
         pivot_cap: iteration cap; defaults to 50 * (m + s).  Exceeding it
             raises CycleLimitExceeded.
 
@@ -246,9 +245,8 @@ def solve_boxed_lp(lp: BoxedLp, tol: float = _FEAS_TOL, pivot_cap: int | None = 
     full[basis] = xb
     x = np.clip(full[:s], 0.0, 1.0)
 
-    feas_tol = tol * max(1.0, float(np.abs(lp.d).max()))
     worst = float((lp.A @ x - lp.d).max())
-    if worst > max(feas_tol, 1e-7 * max(1.0, float(np.abs(lp.d).max()))):
+    if worst > _FEAS_TOL * max(1.0, float(np.abs(lp.d).max())):
         raise InternalError(f"row violation {worst:.3e} after termination")
 
     objective = float(lp.c @ x)
@@ -269,22 +267,17 @@ class CsViolation:
     amount: float
 
 
-def verify_complementary_slackness(
-    lp: BoxedLp, sol: LpSolution, tol: float = _GAP_TOL
-) -> list[CsViolation]:
+def verify_complementary_slackness(lp: BoxedLp, sol: LpSolution) -> list[CsViolation]:
     """Check the optimality certificate and report violations.
 
     Three conditions are checked, each scaled by the data magnitude:
     a positive price on a row with positive slack, a positive reduced cost
     on a column not at its upper bound, and a negative reduced cost on a
     column not at its lower bound.  An empty report means (x, p) form a
-    certified optimal pair at the given tolerance.
+    certified optimal pair at the relative tolerance ``_GAP_TOL``.
     """
-    scale_c = max(1.0, float(np.abs(lp.c).max()))
-    scale_d = max(1.0, float(np.abs(lp.d).max()))
-    tol_price = tol * scale_c
-    tol_slack = tol * scale_d
-    tol_x = tol
+    tol_price = _GAP_TOL * max(1.0, float(np.abs(lp.c).max()))
+    tol_slack = _GAP_TOL * max(1.0, float(np.abs(lp.d).max()))
 
     out: list[CsViolation] = []
     slack = lp.d - lp.A @ sol.x
@@ -293,9 +286,9 @@ def verify_complementary_slackness(
             out.append(CsViolation("price_slack", i, float(sol.dual[i] * slack[i])))
     rc = lp.c - sol.dual @ lp.A
     for j in range(lp.num_cols):
-        if rc[j] > tol_price and sol.x[j] < 1.0 - tol_x:
+        if rc[j] > tol_price and sol.x[j] < 1.0 - _GAP_TOL:
             out.append(CsViolation("reduced_cost_upper", j, float(rc[j] * (1.0 - sol.x[j]))))
-        elif rc[j] < -tol_price and sol.x[j] > tol_x:
+        elif rc[j] < -tol_price and sol.x[j] > _GAP_TOL:
             out.append(CsViolation("reduced_cost_lower", j, float(-rc[j] * sol.x[j])))
     return out
 

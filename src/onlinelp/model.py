@@ -20,7 +20,6 @@ from typing import Iterator, Union
 
 import numpy as np
 
-from ._core import onehot, real
 from .errors import DimensionMismatch, ParseError
 
 __all__ = [
@@ -36,6 +35,19 @@ __all__ = [
     "load_instance",
     "save_instance",
 ]
+
+
+def real(x: float) -> str:
+    """A float with 17 significant digits: enough to round-trip float64."""
+    return format(float(x), ".17g")
+
+
+def onehot(choices, k: int) -> np.ndarray:
+    """Choices as an (n, k) array of 0.0 / 1.0."""
+    out = np.zeros((choices.size, k))
+    taken = np.flatnonzero(choices >= 0)
+    out[taken, choices[taken]] = 1.0
+    return out
 
 
 def _as_float_vector(x, name: str) -> np.ndarray:

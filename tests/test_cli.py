@@ -4,12 +4,14 @@ one __main__ smoke check) — exit codes, formats, determinism."""
 import json
 import subprocess
 import sys
+import typing
 
 import numpy as np
 import pytest
 
 from onlinelp import CycleLimitExceeded, Instance, InternalError, cli, errors, save_instance
 from onlinelp.cli import main
+from onlinelp.generators import GENERATORS
 
 ERROR_CLASSES = [
     cls for cls in vars(errors).values()
@@ -79,6 +81,37 @@ class TestGen:
         code = main(["gen", "--kind", "routing", "--m", "3",
                      "-o", str(tmp_path / "x.json")])
         assert code == 3
+
+
+class TestGenFlags:
+    """The gen flags are derived from the generator signatures."""
+
+    @pytest.mark.parametrize("kind", list(GENERATORS))
+    def test_every_keyword_parameter_parses_with_its_annotated_type(self, kind):
+        parser = cli.build_parser()
+        hints = typing.get_type_hints(GENERATORS[kind])
+        names = [name for name in hints if name not in ("seed", "return")]
+        assert names
+        for name in names:
+            flag = "--" + name.replace("_", "-")
+            choices = typing.get_args(hints[name])
+            values = choices or [{int: "7", float: "0.25"}[hints[name]]]
+            for text in values:
+                args = parser.parse_args(["gen", "--kind", kind, "-o", "x.json", flag, text])
+                parsed = getattr(args, name)
+                assert type(parsed) is (str if choices else hints[name]), (name, parsed)
+                assert parsed == (text if choices else hints[name](text))
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "secretary", "--n", "50", "--k", "5", "--reward-dist", "bogus"],
+        ["--kind", "adwords", "--n", "50", "--m", "2", "--budget-rule", "bogus"],
+        ["--kind", "routing", "--m", "2.5", "--n", "9", "--q", "0.5", "--capacity", "3"],
+    ])
+    def test_bad_choice_or_type_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        assert main(["gen", *argv, "-o", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestRun:

@@ -209,3 +209,17 @@ class TestGenerate:
     def test_missing_required_param(self):
         with pytest.raises(BadSpec):
             generate(GenSpec(kind="routing", params={"m": 3}))
+
+    def test_missing_param_is_named(self):
+        with pytest.raises(BadSpec, match="missing parameters for routing: \\['capacity'\\]"):
+            generate(GenSpec(kind="routing", params=dict(m=3, n=10, q=0.5)))
+
+    def test_wrongly_typed_value_is_not_called_incomplete(self):
+        spec = GenSpec("routing", params=dict(m=3, n="10", q=0.5, capacity=5.0))
+        with pytest.raises(TypeError) as exc:
+            generate(spec)
+        assert "incomplete" not in str(exc.value)
+
+    def test_seed_is_not_a_param(self):
+        with pytest.raises(BadSpec, match="unknown parameters"):
+            generate(GenSpec(kind="secretary", params={"n": 10, "k": 2, "seed": 1}))

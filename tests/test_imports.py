@@ -1,5 +1,6 @@
-"""Module boundaries: no module reaches into a sibling's private names, one
-function builds every LP, and the schedule is computed in one place.
+"""Module boundaries: no module reaches into a sibling's private names or
+imports a sibling at call time, one function builds every LP, and the
+schedule is computed in one place.
 
 Helpers that several modules share live in ``onlinelp._core``; every other
 ``from .<sibling> import _name`` couples a module to another's internals.
@@ -28,6 +29,20 @@ def _private_imports(path: Path) -> list[str]:
 def test_no_private_cross_module_imports():
     modules = sorted(Path(onlinelp.__file__).parent.glob("*.py"))
     found = [line for path in modules for line in _private_imports(path)]
+    assert found == []
+
+
+def test_no_imports_inside_functions():
+    """A relative import inside a function hides an import cycle."""
+    modules = sorted(Path(onlinelp.__file__).parent.glob("*.py"))
+    found = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    })
     assert found == []
 
 
