@@ -4,9 +4,11 @@ A stream of columns (reward, consumption vector) arrives in uniformly random
 order against fixed row capacities.  The engine learns dual prices from an
 early prefix LP — once (``run_ola``) or at geometrically spaced checkpoints
 (``run_dpa``) — and accepts a column exactly when its reward strictly beats
-the priced consumption and the column still fits.  Ships with a dense
-bounded-variable simplex solver, a multi-choice extension (one of k options
-per arrival, adwords-style budgeted allocation), instance generators, and a
+the priced consumption and the column still fits.  Ships with a
+bounded-variable simplex solver that keeps each arrival's "pick at most one"
+constraint implicit (generalized upper bounds, Dantzig & Van Slyke 1967), so
+it works on an m-by-m basis; a multi-choice extension (one of k options per
+arrival, adwords-style budgeted allocation); instance generators; and a
 benchmark harness for empirical competitive ratios.
 """
 

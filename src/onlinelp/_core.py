@@ -121,28 +121,19 @@ def packing_lp(rewards, consumption, b, n: int, shrink: float) -> BoxedLp:
 
     ``rewards`` (ell, k) and ``consumption`` (ell, k, m) are arrivals in the
     k-option view.  The LP has one variable per (arrival, option) pair, at
-    position t*k + j, and the m resource rows first.  For k > 1 one "pick at
-    most one" row per arrival follows; only the resource-row duals are
-    prices.  For k = 1 those rows would restate the 0..1 box, so they are
-    omitted: a scalar instance's LP is the plain packing LP and learns the
-    same prices as its k = 1 embedding.
+    position t*k + j, and the m resource rows; each arrival's k options form
+    one pick-at-most-one group, which the solver handles implicitly, so a
+    scalar instance's LP is its k = 1 embedding.
     """
     ell, k, m = consumption.shape
     d = (1.0 - shrink) * (ell / n) * b
-    resources = consumption.reshape(ell * k, m).T
-    if k == 1:
-        A = np.ascontiguousarray(resources)
-    else:
-        A = np.zeros((m + ell, ell * k))
-        A[:m] = resources
-        A[m + np.repeat(np.arange(ell), k), np.arange(ell * k)] = 1.0
-        d = np.concatenate([d, np.ones(ell)])
-    return BoxedLp(c=rewards.reshape(-1), A=A, d=d)
+    A = np.ascontiguousarray(consumption.reshape(ell * k, m).T)
+    return BoxedLp(c=rewards.reshape(-1), A=A, d=d, k=k)
 
 
-def dual_price(sol, m: int) -> DualPrice:
-    """The DualPrice of the first m rows of an LP solution, roundoff negatives clipped."""
-    return DualPrice(p=np.maximum(sol.dual[:m], 0.0))
+def dual_price(sol) -> DualPrice:
+    """The DualPrice of an LP solution's row prices, roundoff negatives clipped."""
+    return DualPrice(p=np.maximum(sol.dual, 0.0))
 
 
 def decide(p, rewards, consumption, lo: int, hi: int, remaining, choices) -> int:

@@ -69,8 +69,8 @@ def allocation_rule(price: DualPrice, col: Column) -> int:
 def sample_lp(inst: Instance | MultiInstance, ell: int, shrink: float) -> BoxedLp:
     """The prefix LP over columns 1..ell with capacities (1-shrink)*(ell/n)*b.
 
-    Either instance kind: a multi-choice instance's LP also has one "pick at
-    most one" row per arrival.
+    Either instance kind: a multi-choice arrival's k options form one group
+    of the LP (``BoxedLp.k``), summing to at most 1.
     """
     if not 1 <= ell <= inst.n:
         raise ValueError(f"ell must be in [1, n], got ell={ell}, n={inst.n}")
@@ -89,7 +89,7 @@ def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
         shrink: capacity shrink factor in [0, 1); the prefix LP right-hand
             side is (1 - shrink) * (ell / n) * b.
     """
-    return dual_price(solve_boxed_lp(sample_lp(inst, ell, shrink)), inst.m)
+    return dual_price(solve_boxed_lp(sample_lp(inst, ell, shrink)))
 
 
 def _run(inst: Instance, eps: float, mode: str) -> RunResult:
@@ -157,7 +157,7 @@ class OnlineState:
 
     def _learn(self, ell: int, shrink: float) -> DualPrice:
         pi, a = self._seen_pi[:ell, None], self._seen_a[:ell, None]
-        return dual_price(solve_boxed_lp(packing_lp(pi, a, self.b, self.n, shrink)), self.b.size)
+        return dual_price(solve_boxed_lp(packing_lp(pi, a, self.b, self.n, shrink)))
 
 
 def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:

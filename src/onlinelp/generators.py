@@ -252,9 +252,16 @@ def generate(spec: GenSpec) -> Instance | MultiInstance:
                if par.default is par.empty and name not in spec.params]
     if missing:
         raise BadSpec(f"missing parameters for {spec.kind}: {missing}")
-    out = GENERATORS[spec.kind](seed=spec.seed, **spec.params)
+    # numpy scalars become Python values, so the recorded meta saves as JSON.
+    plain = {name: _plain(value) for name, value in spec.params.items()}
+    seed = _plain(spec.seed)
+    out = GENERATORS[spec.kind](seed=seed, **plain)
     if spec.kind != "adwords":
         return out
     inst = adwords_to_multi(*out)
-    inst.meta.update({"params": dict(spec.params), "seed": spec.seed})
+    inst.meta.update({"params": plain, "seed": seed})
     return inst
+
+
+def _plain(value):
+    return value.item() if isinstance(value, np.generic) else value

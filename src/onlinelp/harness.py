@@ -67,8 +67,7 @@ def offline_opt(inst: Instance | MultiInstance) -> tuple[float, np.ndarray, Dual
     value upper-bounds every feasible integral allocation.
     """
     sol = solve_boxed_lp(flatten_lp(inst))
-    x = sol.x[: inst.rewards.size].reshape(inst.rewards.shape)
-    return sol.objective, x, dual_price(sol, inst.m)
+    return sol.objective, sol.x.reshape(inst.rewards.shape), dual_price(sol)
 
 
 def greedy_baseline(inst: Instance | MultiInstance):
@@ -235,25 +234,29 @@ class ColumnSampleResult:
     sample_indices: np.ndarray
 
 
-def column_sample_solve(inst: Instance, eps: float, seed: int = 0) -> ColumnSampleResult:
+def column_sample_solve(
+    inst: Instance | MultiInstance, eps: float, seed: int = 0
+) -> ColumnSampleResult:
     """Approximate the offline LP by pricing all columns with a sampled dual.
 
     Draws ceil(n*eps) columns without replacement, learns the dual of their
     LP with capacities (1-eps)*(s/n)*b, then walks all n columns in input
     order applying the threshold rule with the exact capacity guard, so the
-    output is integral and feasible no matter how rough the dual is.
-    ``guard_rejections`` counts columns the rule accepted but the guard
-    blocked.
+    output is integral and feasible no matter how rough the dual is.  ``x``
+    has the shape of ``inst.rewards``: 0/1 per column, or one one-hot row per
+    multi-choice arrival.  ``guard_rejections`` counts columns the rule
+    accepted but the guard blocked.
     """
     rng = np.random.default_rng(seed)
     idx = rng.choice(inst.n, size=sample_size(inst.n, eps), replace=False)
     rewards, consumption = options(inst)
     lp = packing_lp(rewards[idx], consumption[idx], inst.b, inst.n, eps)
-    price = dual_price(solve_boxed_lp(lp), inst.m)
+    price = dual_price(solve_boxed_lp(lp))
     remaining = inst.b.copy()
     choices = np.full(inst.n, -1, dtype=np.int64)
     blocked = decide(price.p, rewards.tolist(), consumption, 0, inst.n, remaining, choices)
     return ColumnSampleResult(
-        x=(choices >= 0).astype(np.int8), objective=objective(rewards, choices),
+        x=onehot(choices, rewards.shape[1]).astype(np.int8).reshape(inst.rewards.shape),
+        objective=objective(rewards, choices),
         fill=inst.b - remaining, guard_rejections=blocked, price=price, sample_indices=idx,
     )

@@ -1,31 +1,46 @@
-"""Dense bounded-variable primal simplex for box-constrained packing LPs.
+"""Bounded primal simplex for packing LPs with pick-one groups.
 
 Solves
 
     maximize    c' x
-    subject to  A x <= d,   0 <= x <= 1
+    subject to  A x <= d,   x >= 0,
+                x summed over each group <= 1
 
-with ``A`` an (m, s) matrix, returning both the optimal primal point and the
-row prices (dual multipliers) taken from the final basis.  Columns of ``A``
-may hold arbitrary finite reals; the intended regime is nonnegative data
-where ``x = 0`` is feasible, and the solver requires ``d >= 0`` so the slack
-basis is a valid start.
+with ``A`` an (m, s) matrix whose s columns form consecutive groups of
+``k``, returning both the optimal primal point and the row prices (dual
+multipliers) taken from the final basis.  At k = 1 a group is the box
+0 <= x_j <= 1.  Columns of ``A`` may hold arbitrary finite reals; the
+intended regime is nonnegative data where ``x = 0`` is feasible, and the
+solver requires ``d >= 0`` so the slack basis is a valid start.
 
 Implementation notes, since the details matter for reproducibility:
 
-* Variables carry explicit bounds (structurals in [0, 1], slacks in
-  [0, inf)).  Nonbasic variables sit at a bound; the ratio test allows a
-  "bound flip" where the entering variable crosses its own span without a
-  basis exchange.  Ties between a flip and a basis exchange resolve in favor
-  of the flip, which pins down which of the degenerate dual solutions is
-  reported.
-* Pricing starts with Dantzig's rule (most violating reduced cost, lowest
-  index on ties) and switches to Bland's rule after ``10 * (m + s)``
-  iterations so termination is guaranteed; every choice is deterministic,
-  so identical inputs take identical pivot paths.
+* The group rows are never written out: they are generalized upper bounds
+  (GUB; Dantzig & Van Slyke, J. Comput. Syst. Sci. 1, 1967).  Each group
+  keeps one basic "key": its slack whenever the slack is basic, otherwise
+  one of its options.  The other m basic variables (options or row slacks)
+  form the working basis, in which an option v has the column
+  a_v - a_key, so the solver carries an m-by-m inverse however many groups
+  there are.  The row prices are y = c_W B^-1, and group t's dual is
+  u_t = c_key - y'a_key.
+* A key leaving while its group has working members rewrites those
+  members' columns, and the basis is refactorized at that point.  At k = 1
+  this never happens: an option replacing its group's key is the classic
+  bound flip, and a slack key leaving is a basic x reaching 1.  So the
+  scalar LP takes the classic bounded-simplex pivots with the same
+  arithmetic.
+* Variables are ordered: each group's options, then its slack; the row
+  slacks last.  Pricing starts with Dantzig's rule (most violating reduced
+  cost, earliest variable on ties) and switches to Bland's rule after
+  ``10 * (m + s)`` iterations so termination is guaranteed.  In the ratio
+  test the entering variable's own key wins a tie (the bound flip), then
+  the earliest variable; this pins down which of the degenerate dual
+  solutions is reported, and identical inputs take identical pivot paths.
 * The basis inverse is maintained explicitly with rank-one pivot updates and
   refactorized from scratch periodically (and once more at termination)
   to keep drift out of the reported solution.
+* Before returning, the solver certifies its answer: every row and group
+  is feasible, and the primal and dual objectives agree.
 
 The module depends only on numpy and ``errors``, so ``_core`` can build its
 LPs on ``BoxedLp``.  ``perturb_rewards`` copies either instance kind with
@@ -61,6 +76,7 @@ __all__ = [
 AT_LOWER = np.int8(0)
 BASIC = np.int8(1)
 AT_UPPER = np.int8(2)
+_KEY = np.int8(3)    # solver state only: the option is its group's key
 
 _FEAS_TOL = 1e-7     # row-violation slop, scaled by max(1, ||d||_inf)
 _GAP_TOL = 1e-7      # relative duality-gap tolerance
@@ -70,11 +86,17 @@ _REFACTOR_EVERY = 200
 
 @dataclass(frozen=True)
 class BoxedLp:
-    """Problem data: maximize c'x subject to A x <= d, 0 <= x <= 1."""
+    """Problem data: maximize c'x subject to A x <= d, x >= 0, and each
+    consecutive group of ``k`` columns summing to at most 1.
+
+    ``A`` and ``d`` hold only the resource rows; at k = 1 every column is
+    boxed in [0, 1].
+    """
 
     c: np.ndarray
     A: np.ndarray
     d: np.ndarray
+    k: int = 1
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.c, dtype=np.float64))
@@ -89,6 +111,9 @@ class BoxedLp:
             raise DimensionMismatch(f"d has shape {d.shape}, A has {m} rows")
         if m < 1 or s < 1:
             raise DimensionMismatch("need at least one row and one column")
+        k = self.k
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1 or s % k:
+            raise DimensionMismatch(f"k={k!r} does not split {s} columns into groups")
         for name, arr in (("c", c), ("A", A), ("d", d)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -97,6 +122,7 @@ class BoxedLp:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", int(k))
 
     @property
     def num_rows(self) -> int:
@@ -107,23 +133,32 @@ class BoxedLp:
         return self.A.shape[1]
 
 
+def _group_duals(lp: BoxedLp, rc: np.ndarray) -> np.ndarray:
+    """Each group's dual max(0, max_j rc_j), which the row prices fix."""
+    return np.maximum(rc.reshape(-1, lp.k).max(axis=1), 0.0)
+
+
 @dataclass
 class LpSolution:
-    """Optimal point, row prices, per-column status, and objective value."""
+    """Optimal point, row prices, per-column status, objective, and pivot count.
+
+    ``pivots`` counts the bound flips and basis exchanges the solve took.
+    """
 
     x: np.ndarray
     dual: np.ndarray
     reduced_info: np.ndarray
     objective: float
+    pivots: int = 0
 
     def dual_objective(self, lp: BoxedLp) -> float:
-        """Value of the dual: d'p plus the upper-bound charges max(0, c_j - p'A_j)."""
+        """Value of the dual: d'p plus each group's charge max(0, max_j c_j - p'A_j)."""
         rc = lp.c - self.dual @ lp.A
-        return float(lp.d @ self.dual + np.maximum(rc, 0.0).sum())
+        return float(lp.d @ self.dual + _group_duals(lp, rc).sum())
 
 
 def solve_boxed_lp(lp: BoxedLp, pivot_cap: int | None = None) -> LpSolution:
-    """Solve the boxed LP to optimality.
+    """Solve the grouped LP to optimality.
 
     Args:
         lp: problem data.
@@ -131,20 +166,30 @@ def solve_boxed_lp(lp: BoxedLp, pivot_cap: int | None = None) -> LpSolution:
             raises CycleLimitExceeded.
 
     Returns:
-        LpSolution with primal x in [0, 1]^s, nonnegative-within-tolerance
-        row prices, per-column bound classification, and the objective.
+        LpSolution with primal x >= 0 whose groups sum to at most 1, the m
+        row prices (nonnegative within tolerance), per-column status, the
+        objective and the pivot count.  A column is AT_UPPER when it holds
+        its whole group (x = 1).
+
+    Raises:
+        InternalError: if the answer fails its own certificate (a row or
+            group violated, or a duality gap).
     """
-    m, s = lp.num_rows, lp.num_cols
-    nvar = s + m
+    m, s, k = lp.num_rows, lp.num_cols, lp.k
+    ell, nvar = s // k, s + m
+    # Variables 0..s-1 are the options and s..nvar-1 the row slacks, with
+    # the columns of A and c below; nvar + t is group t's slack, whose
+    # column is zero.
     A = np.hstack([lp.A, np.eye(m)])
     c = np.concatenate([lp.c, np.zeros(m)])
-    upper = np.concatenate([np.ones(s), np.full(m, np.inf)])
 
     status = np.full(nvar, AT_LOWER, dtype=np.int8)
     basis = np.arange(s, nvar)
     status[basis] = BASIC
+    key = np.full(ell, -1)   # each group's key option, -1 while its slack is key
     binv = np.eye(m)
     xb = lp.d.copy()
+    cw = np.zeros(m)         # cost of each working column, c_v - c_key
 
     if pivot_cap is None:
         pivot_cap = 50 * (m + s)
@@ -153,109 +198,190 @@ def solve_boxed_lp(lp: BoxedLp, pivot_cap: int | None = None) -> LpSolution:
     tol_rc = 1e-9 * cost_scale
     piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(A).max()))
 
-    def recompute_xb():
-        up = status == AT_UPPER
-        rhs = lp.d - A[:, up] @ upper[up] if up.any() else lp.d.copy()
-        return binv @ rhs
+    def rank(v: int) -> int:
+        """Place of variable v in the order: each group's options then its slack, row slacks last."""
+        if v < s:
+            return v + v // k
+        return v + ell if v < nvar else (v - nvar + 1) * (k + 1) - 1
+
+    def groups(v):
+        """The group of each variable in v, -1 for a row slack."""
+        return np.where(v < s, v // k, -1)
+
+    def refactor():
+        """Working basis inverse, basic values and column costs, freshly computed."""
+        keyed = key[groups(basis)]
+        keyed[basis >= s] = -1
+        B, cost = A[:, basis], c[basis]
+        rows = np.flatnonzero(keyed >= 0)
+        if rows.size:
+            B[:, rows] -= A[:, keyed[rows]]
+            cost[rows] -= c[keyed[rows]]
+        try:
+            inv = np.linalg.inv(B)
+        except np.linalg.LinAlgError as exc:
+            raise InternalError("basis matrix became singular") from exc
+        up = status == _KEY
+        rhs = lp.d - A[:, up] @ np.ones(int(up.sum())) if up.any() else lp.d.copy()
+        return inv, inv @ rhs, cost
 
     it = 0
     while True:
         it += 1
         if it > pivot_cap:
             raise CycleLimitExceeded(
-                f"no optimum within {pivot_cap} pivots (m={m}, s={s})"
+                f"no optimum within {pivot_cap} pivots (m={m}, s={s}, k={k})"
             )
         if it % _REFACTOR_EVERY == 0:
-            try:
-                binv = np.linalg.inv(A[:, basis])
-            except np.linalg.LinAlgError as exc:
-                raise InternalError("basis matrix became singular") from exc
-            xb = recompute_xb()
+            binv, xb, cw = refactor()
 
-        y = c[basis] @ binv
+        # Reduced costs: an option's net of its group's dual u, and a group
+        # slack's -u, which is positive when the key option pays less than
+        # nothing at these prices.
+        y = cw @ binv
         rc = c - y @ A
-        elig_low = (status == AT_LOWER) & (rc > tol_rc)
-        elig_up = (status == AT_UPPER) & (rc < -tol_rc)
-        if not (elig_low.any() or elig_up.any()):
-            break
-
+        u = np.where(key >= 0, rc[key], 0.0)
+        opt_rc = rc[:s].reshape(ell, k)
+        opt_rc -= u[:, None]
         if it <= bland_after:
-            score = np.where(elig_low, rc, np.where(elig_up, -rc, -np.inf))
+            score = np.where(status == AT_LOWER, rc, -np.inf)
             j = int(np.argmax(score))
+            t = int(np.argmin(u))
+            if score[j] <= tol_rc and -u[t] <= tol_rc:
+                break
+            if -u[t] > score[j] or (-u[t] == score[j] and rank(nvar + t) < rank(j)):
+                j = nvar + t
         else:
-            j = int(np.flatnonzero(elig_low | elig_up)[0])
+            firsts = [int(np.flatnonzero(e)[0]) + off for e, off in (
+                ((status == AT_LOWER) & (rc > tol_rc), 0), (u < -tol_rc, nvar)) if e.any()]
+            if not firsts:
+                break
+            j = min(firsts, key=rank)
 
-        sigma = 1.0 if status[j] == AT_LOWER else -1.0
-        step_dir = sigma * (binv @ A[:, j])
+        # The entering variable rises from 0.  A group slack pushes its key
+        # option down, so the working basis sees that option's column negated.
+        if j >= nvar:
+            gj = j - nvar
+            kj = int(key[gj])
+            sigma, col = -1.0, A[:, kj]
+        else:
+            gj = j // k if j < s else -1
+            kj = int(key[gj]) if gj >= 0 else -1
+            sigma, col = 1.0, A[:, j] - A[:, kj] if kj >= 0 else A[:, j]
+        step_dir = sigma * (binv @ col)
 
-        # Ratio test: basic variables move by -step_dir per unit of t.
-        ratios = np.full(m, np.inf)
-        dec = step_dir > piv_tol            # basic heads toward its lower bound 0
-        inc = step_dir < -piv_tol           # basic heads toward its upper bound
-        if dec.any():
-            ratios[dec] = xb[dec] / step_dir[dec]
-        ub_b = upper[basis]
-        inc &= np.isfinite(ub_b)
-        if inc.any():
-            ratios[inc] = (ub_b[inc] - xb[inc]) / (-step_dir[inc])
-        np.maximum(ratios, 0.0, out=ratios)  # degeneracy can leave tiny negatives
-        t_basic = float(ratios.min()) if m else np.inf
-        span = upper[j]  # lower bounds are all zero, so the span is the upper bound
-
-        if span <= t_basic:
-            if not np.isfinite(span):
-                raise InternalError("unbounded improving direction")
-            xb -= step_dir * span
-            status[j] = AT_UPPER if status[j] == AT_LOWER else AT_LOWER
-            continue
-        if not np.isfinite(t_basic):
+        # Ratio test: basic variables move by -step_dir per unit of t.  A
+        # working variable can fall to 0, and so can the key of each group
+        # the step touches (a working variable's or the entering one's): the
+        # key is 1 minus its group's working members.
+        xs, ds = xb.tolist(), step_dir.tolist()
+        row_group = groups(basis).tolist()
+        falling = {gj: [1.0, 1.0]} if gj >= 0 else {}  # group: [key value, rate of fall]
+        for r, g in enumerate(row_group):
+            if g >= 0:
+                fall = falling.setdefault(g, [1.0, 0.0])
+                fall[0] -= xs[r]
+                fall[1] -= ds[r]
+        # Candidates (t, place in the order, row, group): the smallest t
+        # leaves, and on a tie the entering variable's own key, then the
+        # earliest variable.  Degeneracy can leave tiny negative ratios,
+        # read as 0.
+        leaving = [(max(0.0, xs[r] / ds[r]), rank(int(basis[r])), r, -1)
+                   for r in range(m) if ds[r] > piv_tol]
+        leaving += [(max(0.0, val / rate),
+                     -1 if g == gj else rank(int(key[g]) if key[g] >= 0 else nvar + g), -1, g)
+                    for g, (val, rate) in falling.items() if rate > piv_tol]
+        if not leaving:
             raise InternalError("unbounded improving direction")
+        t_step, _, r, g = min(leaving)
+        xb -= step_dir * t_step
 
-        tie_rows = np.flatnonzero(ratios <= t_basic)
-        r = int(tie_rows[np.argmin(basis[tie_rows])])
+        if g >= 0 and g == gj:
+            # The entering variable replaces its own group's key: the bound flip.
+            if kj >= 0:
+                status[kj] = AT_LOWER
+            key[gj] = j if j < nvar else -1
+            if j < nvar:
+                status[j] = _KEY
+            if gj in row_group:
+                binv, xb, cw = refactor()
+            continue
+
+        rewrite = False
+        if g < 0:
+            # A working variable falls to 0 and leaves.
+            status[basis[r]] = AT_LOWER
+        else:
+            # A key falls to 0; a working member of its group becomes key.
+            rows = [q for q in range(m) if row_group[q] == g]
+            r = rows[0]
+            if key[g] >= 0:
+                status[key[g]] = AT_LOWER
+            key[g] = basis[r]
+            status[basis[r]] = _KEY
+            rewrite = len(rows) > 1
+        if j >= nvar:
+            # The group slack becomes key; its old key option takes row r.
+            key[gj] = -1
+            val, rate = falling[gj]
+            enter, value, cost = kj, val - rate * t_step, c[kj]
+            rewrite = rewrite or any(row_group[q] == gj for q in range(m) if q != r)
+        else:
+            enter, value, cost = j, t_step, c[j] - c[kj] if kj >= 0 else c[j]
+        basis[r] = enter
+        status[enter] = BASIC
+        if rewrite:
+            binv, xb, cw = refactor()
+            continue
+
         piv = step_dir[r] / sigma
         if abs(piv) <= piv_tol:
             raise InternalError("vanishing pivot element")
-
-        leaving = int(basis[r])
-        leaves_to_upper = step_dir[r] < 0.0
-        xb -= step_dir * t_basic
-        enter_from = 0.0 if status[j] == AT_LOWER else upper[j]
-        xb[r] = enter_from + sigma * t_basic
+        xb[r] = value
+        cw[r] = cost
 
         # Rank-one update of the basis inverse.
-        dcol = sigma * step_dir  # = binv @ A[:, j]
+        dcol = sigma * step_dir  # = binv @ (column entering row r)
         binv[r, :] /= piv
         other = np.arange(m) != r
         binv[other, :] -= np.outer(dcol[other], binv[r, :])
 
-        basis[r] = j
-        status[j] = BASIC
-        status[leaving] = AT_UPPER if leaves_to_upper else AT_LOWER
-
     # Clean recompute from a fresh factorization for the reported solution.
-    try:
-        binv = np.linalg.inv(A[:, basis])
-    except np.linalg.LinAlgError as exc:
-        raise InternalError("basis matrix became singular") from exc
-    xb = recompute_xb()
-    y = c[basis] @ binv
+    binv, xb, cw = refactor()
+    y = cw @ binv
 
-    full = np.where(status == AT_UPPER, upper, 0.0)
+    grp = groups(basis)
+    opt_rows = grp >= 0
+    filled = np.bincount(grp[opt_rows], weights=xb[opt_rows], minlength=ell)
+    has_members = np.bincount(grp[opt_rows], minlength=ell) > 0
+    keyed = np.flatnonzero(key >= 0)
+    full = np.zeros(nvar)
     full[basis] = xb
+    full[key[keyed]] = 1.0 - filled[keyed]
     x = np.clip(full[:s], 0.0, 1.0)
+    info = status[:s].copy()
+    info[key[keyed]] = np.where(has_members[keyed], BASIC, AT_UPPER)
 
     worst = float((lp.A @ x - lp.d).max())
     if worst > _FEAS_TOL * max(1.0, float(np.abs(lp.d).max())):
         raise InternalError(f"row violation {worst:.3e} after termination")
+    over = float(x.reshape(ell, k).sum(axis=1).max()) - 1.0
+    if over > _FEAS_TOL:
+        raise InternalError(f"group sum exceeds 1 by {over:.3e} after termination")
 
-    objective = float(lp.c @ x)
-    return LpSolution(
+    sol = LpSolution(
         x=x,
         dual=y.copy(),
-        reduced_info=status[:s].copy(),
-        objective=objective,
+        reduced_info=info,
+        objective=float(lp.c @ x),
+        pivots=it - 1,
     )
+    gap = abs(sol.objective - sol.dual_objective(lp))
+    if gap > _GAP_TOL * max(abs(sol.objective), cost_scale):
+        raise InternalError(
+            f"duality gap {gap:.3e} after {sol.pivots} pivots (objective {sol.objective:.6g})"
+        )
+    return sol
 
 
 @dataclass(frozen=True)
@@ -270,11 +396,15 @@ class CsViolation:
 def verify_complementary_slackness(lp: BoxedLp, sol: LpSolution) -> list[CsViolation]:
     """Check the optimality certificate and report violations.
 
-    Three conditions are checked, each scaled by the data magnitude:
-    a positive price on a row with positive slack, a positive reduced cost
-    on a column not at its upper bound, and a negative reduced cost on a
-    column not at its lower bound.  An empty report means (x, p) form a
-    certified optimal pair at the relative tolerance ``_GAP_TOL``.
+    With group duals u_t = max(0, max_j rc_j) over group t's reduced costs
+    rc = c - p'A, three conditions are checked, each scaled by the data
+    magnitude: a positive price on a row with positive slack
+    (``price_slack``, indexed by row), a positive u_t on a group that is not
+    full (``reduced_cost_upper``, indexed by group), and a positive x_j whose
+    reduced cost falls short of its group's u_t (``reduced_cost_lower``,
+    indexed by column).  At k = 1 a group is one column and u_t = max(0,
+    rc_j).  An empty report means (x, p) form a certified optimal pair at
+    the relative tolerance ``_GAP_TOL``.
     """
     tol_price = _GAP_TOL * max(1.0, float(np.abs(lp.c).max()))
     tol_slack = _GAP_TOL * max(1.0, float(np.abs(lp.d).max()))
@@ -285,11 +415,14 @@ def verify_complementary_slackness(lp: BoxedLp, sol: LpSolution) -> list[CsViola
         if sol.dual[i] > tol_price and slack[i] > tol_slack:
             out.append(CsViolation("price_slack", i, float(sol.dual[i] * slack[i])))
     rc = lp.c - sol.dual @ lp.A
-    for j in range(lp.num_cols):
-        if rc[j] > tol_price and sol.x[j] < 1.0 - _GAP_TOL:
-            out.append(CsViolation("reduced_cost_upper", j, float(rc[j] * (1.0 - sol.x[j]))))
-        elif rc[j] < -tol_price and sol.x[j] > _GAP_TOL:
-            out.append(CsViolation("reduced_cost_lower", j, float(-rc[j] * sol.x[j])))
+    u = _group_duals(lp, rc)
+    fill = sol.x.reshape(-1, lp.k).sum(axis=1)
+    for t in range(u.size):
+        if u[t] > tol_price and fill[t] < 1.0 - _GAP_TOL:
+            out.append(CsViolation("reduced_cost_upper", t, float(u[t] * (1.0 - fill[t]))))
+        for j in range(t * lp.k, (t + 1) * lp.k):
+            if rc[j] < u[t] - tol_price and sol.x[j] > _GAP_TOL:
+                out.append(CsViolation("reduced_cost_lower", j, float((u[t] - rc[j]) * sol.x[j])))
     return out
 
 

@@ -10,9 +10,12 @@ which the scalar policies run as k = 1; this module supplies the
 multi-choice learn step, ``learn_price_multi``.
 
 The prefix LP flattens the first ``ell`` arrivals into one boxed LP: one
-scalar variable per (arrival, option) pair, the m resource rows scaled and
-shrunk exactly as in the scalar case, plus one "pick at most one" row per
-arrival.  Only the m resource-row duals feed the allocation rule.
+scalar variable per (arrival, option) pair and the m resource rows, scaled
+and shrunk exactly as in the scalar case.  Each arrival's k options form one
+group that sums to at most 1; the solver keeps these groups implicit
+(generalized upper bounds, Dantzig & Van Slyke 1967), so its basis is m by m
+however many arrivals there are, and its duals are the m row prices the
+allocation rule reads.
 """
 
 from __future__ import annotations
@@ -65,8 +68,8 @@ def flatten_lp(
 
 
 def learn_price_multi(minst: MultiInstance, ell: int, shrink: float) -> DualPrice:
-    """Resource-row duals of the flattened prefix LP (pick-one rows not priced)."""
-    return dual_price(solve_boxed_lp(flatten_lp(minst, ell, shrink)), minst.m)
+    """Row prices of the flattened prefix LP (negatives from roundoff clipped to zero)."""
+    return dual_price(solve_boxed_lp(flatten_lp(minst, ell, shrink)))
 
 
 def run_dpa_multi(minst: MultiInstance, eps: float) -> MultiRunResult:

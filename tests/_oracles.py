@@ -65,3 +65,40 @@ def random_boxed_lp(seed: int):
     c[rng.random(s) < 0.1] = 0.0
     d = rng.uniform(0.0, 3.0, m)
     return c, A, d
+
+
+def random_grouped_lp(seed: int):
+    """A seeded LP whose columns form groups of k = 2..4, as (c, A, d, k).
+
+    Seeds cycle through six cases: plain data, duplicated options, all-zero
+    columns, a zero-capacity row, more rows than groups, and rewards spread
+    over twelve orders of magnitude (the range ``heavy_tail`` produces).
+    """
+    rng = np.random.default_rng(seed)
+    case = seed % 6
+    k = int(rng.integers(2, 5))
+    ell = int(rng.integers(1, 4)) if case == 4 else int(rng.integers(1, 25))
+    m = ell + int(rng.integers(1, 4)) if case == 4 else int(rng.integers(1, 6))
+    s = ell * k
+    A = rng.uniform(0.0, 1.0, (m, s))
+    A[rng.random((m, s)) < 0.2] = 0.0
+    A[rng.random((m, s)) < 0.1] = 1.0
+    c = rng.uniform(0.0, 2.0, s)
+    d = rng.uniform(0.0, 0.4 * ell, m)
+    if case == 1:
+        for _ in range(max(1, s // 3)):
+            src, dst = rng.integers(0, s, 2)
+            A[:, dst], c[dst] = A[:, src], c[src]
+    elif case == 2:
+        A[:, rng.random(s) < 0.3] = 0.0
+    elif case == 3:
+        d[rng.integers(0, m)] = 0.0
+    elif case == 5:
+        c *= 10.0 ** rng.integers(0, 13, s)
+    return c, A, d, k
+
+
+def explicit_groups(c, A, d, k):
+    """The same LP as (c, A, d) for k = 1, with one pick-one row per group written out."""
+    ell = A.shape[1] // k
+    return c, np.vstack([A, np.kron(np.eye(ell), np.ones((1, k)))]), np.concatenate([d, np.ones(ell)])

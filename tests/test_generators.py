@@ -14,6 +14,10 @@ from onlinelp import (
     gen_secretary,
     gen_yield,
     generate,
+    instance_from_json,
+    instance_to_json,
+    load_instance,
+    save_instance,
     shuffle,
 )
 from onlinelp.multi import adwords_to_multi
@@ -219,6 +223,20 @@ class TestGenerate:
         with pytest.raises(TypeError) as exc:
             generate(spec)
         assert "incomplete" not in str(exc.value)
+
+    def test_numpy_scalar_params_save_and_reload(self, tmp_path):
+        spec = GenSpec("routing", np.int64(1),
+                       dict(m=np.int64(3), n=50, q=np.float64(0.5), capacity=5.0))
+        inst = generate(spec)
+        assert type(inst.meta["m"]) is int and type(inst.meta["q"]) is float
+        assert type(inst.meta["seed"]) is int
+        path = tmp_path / "inst.json"
+        save_instance(inst, path)
+        back = load_instance(path)
+        assert back.meta == inst.meta
+        assert np.array_equal(back.rewards, inst.rewards)
+        ads = generate(GenSpec("adwords", 2, dict(n=np.int64(20), m=np.int32(3))))
+        assert instance_from_json(instance_to_json(ads)).meta["params"] == {"n": 20, "m": 3}
 
     def test_seed_is_not_a_param(self):
         with pytest.raises(BadSpec, match="unknown parameters"):

@@ -207,6 +207,20 @@ class TestColumnSampling:
         res = column_sample_solve(inst, 0.99, seed=2)
         assert res.sample_indices.shape == (40,)
 
+    def test_scalar_x_is_one_flag_per_column(self):
+        inst = routing(seed=3, n=150)
+        res = column_sample_solve(inst, 0.2, seed=1)
+        assert res.x.shape == (150,) and res.x.dtype == np.int8
+
+    def test_multi_x_is_one_hot_per_arrival(self):
+        inst = generate(GenSpec("adwords", 1, dict(n=60, m=3)))
+        res = column_sample_solve(inst, 0.2, seed=1)
+        assert res.x.shape == inst.rewards.shape == (60, 3)
+        assert np.isin(res.x, [0, 1]).all() and res.x.sum(axis=1).max() <= 1
+        assert res.objective == pytest.approx(float((inst.rewards * res.x).sum()))
+        np.testing.assert_allclose(res.fill, np.einsum("tik,tk->i", inst.consumption, res.x))
+        assert np.all(res.fill <= inst.b)
+
     def test_deterministic_in_seed(self):
         inst = routing(seed=8, n=150)
         a = column_sample_solve(inst, 0.2, seed=3)

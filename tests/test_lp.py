@@ -8,14 +8,19 @@ from onlinelp import (
     CsViolation,
     CycleLimitExceeded,
     DimensionMismatch,
+    GenSpec,
     Instance,
+    InternalError,
+    flatten_lp,
+    generate,
     perturb_rewards,
     solve_boxed_lp,
     verify_complementary_slackness,
 )
+from onlinelp import lp as lp_module
 from onlinelp.lp import AT_LOWER, AT_UPPER, BASIC
 
-from _oracles import enumerate_boxed_opt, random_boxed_lp
+from _oracles import enumerate_boxed_opt, explicit_groups, random_boxed_lp, random_grouped_lp
 
 
 def _lp(c, A, d):
@@ -130,6 +135,79 @@ def test_pivot_cap_raises_cycle_limit():
     lp = _lp([4.0, 3.0, 2.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.5])
     with pytest.raises(CycleLimitExceeded):
         solve_boxed_lp(lp, pivot_cap=1)
+
+
+def test_dual_objective_is_the_box_formula_at_k1():
+    for seed in range(25):
+        c, A, d = random_boxed_lp(seed + 4000)
+        lp = BoxedLp(c=c, A=A, d=d)
+        sol = solve_boxed_lp(lp)
+        box = float(lp.d @ sol.dual + np.maximum(lp.c - sol.dual @ lp.A, 0.0).sum())
+        assert sol.dual_objective(lp) == box
+
+
+def test_failed_certificate_raises(monkeypatch):
+    monkeypatch.setattr(lp_module, "_GAP_TOL", -1.0)  # no gap can pass
+    with pytest.raises(InternalError, match="duality gap"):
+        solve_boxed_lp(_lp([4.0, 3.0], [[1.0, 1.0]], [1.5]))
+
+
+def test_pivot_count_pinned_on_offline_routing():
+    inst = generate(GenSpec("routing", 0, dict(m=5, n=4000, q=0.5, capacity=400.0)))
+    assert solve_boxed_lp(flatten_lp(inst)).pivots == 2330
+
+
+def test_pivot_count_bounded_on_offline_adwords():
+    inst = generate(GenSpec("adwords", 0, dict(n=800, m=3)))
+    assert solve_boxed_lp(flatten_lp(inst)).pivots <= 200
+
+
+class TestGroupedLp:
+    def test_k_must_split_the_columns(self):
+        for k in (0, 2, 2.0, True):
+            with pytest.raises(DimensionMismatch):
+                BoxedLp(c=np.ones(5), A=np.ones((1, 5)), d=np.ones(1), k=k)
+
+    def test_one_row_two_groups(self):
+        # Group 0 takes its best option whole; the capacity left goes to
+        # group 1, whose options tie, so the price is 1 and the lower index
+        # is taken.
+        lp = BoxedLp(c=np.array([3.0, 2.0, 1.0, 1.0]), A=np.ones((1, 4)),
+                     d=np.array([1.5]), k=2)
+        sol = solve_boxed_lp(lp)
+        np.testing.assert_allclose(sol.x, [1.0, 0.0, 0.5, 0.0], atol=1e-12)
+        assert sol.dual[0] == pytest.approx(1.0)
+        assert sol.objective == pytest.approx(3.5)
+        assert sol.dual_objective(lp) == pytest.approx(3.5)
+        assert sol.reduced_info[0] == AT_UPPER and sol.reduced_info[2] == BASIC
+
+    def test_matches_explicit_pick_one_rows(self):
+        for seed in range(300):
+            c, A, d, k = random_grouped_lp(seed)
+            lp = BoxedLp(c=c, A=A, d=d, k=k)
+            sol = solve_boxed_lp(lp)
+            ref = solve_boxed_lp(BoxedLp(*explicit_groups(c, A, d, k)))
+            scale = max(1.0, float(np.abs(c).max()))
+            assert abs(sol.objective - ref.objective) <= 1e-8 * scale, f"seed {seed}"
+            assert verify_complementary_slackness(lp, sol) == [], f"seed {seed}"
+            assert sol.x.reshape(-1, k).sum(axis=1).max() <= 1.0 + 1e-9, f"seed {seed}"
+            assert np.all(sol.x[sol.reduced_info == AT_LOWER] == 0.0), f"seed {seed}"
+            assert np.all(sol.x[sol.reduced_info == AT_UPPER] == 1.0), f"seed {seed}"
+
+    def test_matches_highs(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        compared = 0
+        for seed in range(300):
+            c, A, d, k = random_grouped_lp(seed)
+            c2, A2, d2 = explicit_groups(c, A, d, k)
+            ref = linprog(-c2, A_ub=A2, b_ub=d2, bounds=(0, None), method="highs")
+            if ref.status != 0:
+                continue  # HiGHS reports numerical trouble on a few badly scaled LPs
+            sol = solve_boxed_lp(BoxedLp(c=c, A=A, d=d, k=k))
+            scale = max(1.0, float(np.abs(c).max()))
+            assert abs(sol.objective + ref.fun) <= 1e-8 * scale, f"seed {seed}"
+            compared += 1
+        assert compared >= 250
 
 
 class TestPerturbRewards:

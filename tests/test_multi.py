@@ -80,28 +80,27 @@ class TestFlatten:
         inst = random_multi(0, k=1)
         lp = flatten_lp(inst)
         assert lp.A.shape == (inst.m, inst.n)
+        assert lp.k == 1
 
-    def test_k3_adds_one_row_per_arrival(self):
+    def test_k3_groups_options_per_arrival(self):
         inst = random_multi(1, n=12, k=3)
         lp = flatten_lp(inst)
-        assert lp.A.shape == (inst.m + 12, 12 * 3)
-        # resource block is the consumption tensor laid out t-major
+        # only the resource rows: each arrival's options form one implicit group
+        assert lp.A.shape == (inst.m, 12 * 3)
+        assert lp.k == 3
+        # the consumption tensor laid out t-major
         np.testing.assert_array_equal(
-            lp.A[: inst.m],
-            np.transpose(inst.consumption, (1, 0, 2)).reshape(inst.m, -1),
+            lp.A, np.transpose(inst.consumption, (1, 0, 2)).reshape(inst.m, -1)
         )
-        # each pick-one row has k ones in its arrival's slot
-        for t in range(12):
-            row = lp.A[inst.m + t]
-            assert row.sum() == 3.0
-            assert np.all(row[t * 3:(t + 1) * 3] == 1.0)
-        np.testing.assert_array_equal(lp.d[inst.m:], np.ones(12))
+        np.testing.assert_array_equal(lp.c, inst.rewards.reshape(-1))
+        np.testing.assert_array_equal(lp.d, inst.b)
 
     def test_prefix_rhs_shrinks(self):
         inst = random_multi(2, n=20, k=2)
         lp = flatten_lp(inst, ell=5, shrink=0.2)
-        np.testing.assert_allclose(lp.d[: inst.m], 0.8 * 0.25 * inst.b)
-        assert lp.A.shape == (inst.m + 5, 10)
+        np.testing.assert_allclose(lp.d, 0.8 * 0.25 * inst.b)
+        assert lp.A.shape == (inst.m, 10)
+        assert lp.k == 2
 
     def test_simplex_rows_bind_at_most_one_per_arrival(self):
         inst = random_multi(3, n=15, k=3, b_scale=30.0)  # loose resources
