@@ -30,7 +30,6 @@ from .model import (
     Instance,
     MultiColumn,
     MultiInstance,
-    MultiRunResult,
     RunResult,
     instance_from_json,
     instance_to_json,
@@ -107,7 +106,6 @@ __all__ = [
     "LpSolution",
     "MultiColumn",
     "MultiInstance",
-    "MultiRunResult",
     "NonpositiveReward",
     "OnlineLpError",
     "OnlineState",

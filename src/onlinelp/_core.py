@@ -14,12 +14,13 @@ row prices off its solution.  All of them read the k-option view of
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import DegenerateWindow
 from .lp import BoxedLp
-from .model import DualPrice, onehot
+from .model import DualPrice, RunResult, onehot
 
 
 def ceil_snap(x: float) -> int:
@@ -191,25 +192,25 @@ def price_rule(p, rewards, consumption) -> np.ndarray:
     return choices
 
 
-def run_epochs(rewards, consumption, b, points, learn):
-    """The pricing policy over a whole instance, one price epoch at a time.
+def run_epochs(inst, eps: float, mode: str, learn) -> RunResult:
+    """The policy ``mode`` over a whole instance, one price epoch at a time.
 
-    ``points`` is a ``schedule`` and ``learn(ell, shrink)`` returns the
-    DualPrice learned from the first ``ell`` arrivals with that shrink; it
-    governs arrivals ``ell+1 .. next checkpoint`` (the last one up to n).
-    Arrivals up to the first checkpoint are declined.  Returns the fields
-    of a run result: (choices, objective, fill, prices_used).
+    The checkpoints are ``schedule(n, eps, mode)``, and ``learn(inst, ell,
+    shrink)`` returns the DualPrice learned from the first ``ell`` arrivals
+    with that shrink; it governs arrivals ``ell+1 .. next checkpoint`` (the
+    last one up to n).  Arrivals up to the first checkpoint are declined.
     """
-    n = rewards.shape[0]
+    rewards, consumption = options(inst)
+    points = schedule(inst.n, eps, mode)
+    remaining = np.array(inst.b, dtype=np.float64)
+    choices = np.full(inst.n, -1, dtype=np.int64)
     f = rewards.tolist()
-    remaining = np.array(b, dtype=np.float64)
-    choices = np.full(n, -1, dtype=np.int64)
     prices_used = []
-    ends = [ell for ell, _ in points[1:]] + [n]
+    ends = [ell for ell, _ in points[1:]] + [inst.n]
     for (ell, _), end in zip(points, ends):
-        price = learn_until(ell, points, prices_used, learn)
+        price = learn_until(ell, points, prices_used, partial(learn, inst))
         decide(price.p, f, consumption, ell, end, remaining, choices)
-    return choices, objective(rewards, choices), b - remaining, prices_used
+    return RunResult(choices, objective(rewards, choices), inst.b - remaining, prices_used)
 
 
 def objective(rewards, choices) -> float:

@@ -47,6 +47,16 @@ def _eps_value(text: str) -> float:
     return eps
 
 
+def _jobs_value(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {text}")
+    return jobs
+
+
 def _name_list(text: str) -> list[str]:
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
     if not toks:
@@ -99,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--base-seed", type=int, default=0)
     bench.add_argument("-o", "--output", default=None,
                        help="CSV path (stdout when omitted)")
-    bench.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    bench.add_argument("--jobs", type=_jobs_value, default=os.cpu_count() or 1,
+                       help="worker processes, at most one per trial")
     bench.add_argument("--timings", action="store_true",
                        help="record wall time per trial (off keeps CSV reproducible)")
     bench.set_defaults(func=cmd_bench)
@@ -174,11 +185,8 @@ def cmd_run(args) -> int:
         vals = " ".join(f"{v:.6g}" for v in price.p)
         print(f"price learned at t={ell}: [{vals}]")
     if args.decisions_out is not None:
-        if isinstance(inst, MultiInstance):
-            payload = {"choices": [int(v) for v in result.choices]}
-        else:
-            payload = {"decisions": [int(v) for v in result.decisions]}
-        payload["objective"] = result.objective
+        key = "choices" if isinstance(inst, MultiInstance) else "decisions"
+        payload = {key: getattr(result, key).tolist(), "objective": result.objective}
         with open(args.decisions_out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
             fh.write("\n")
@@ -219,8 +227,6 @@ def cmd_bench(args) -> int:
 
 def cmd_sample_lp(args) -> int:
     inst = load_instance(args.input)
-    if isinstance(inst, MultiInstance):
-        raise ValueError("sample-lp works on scalar instances only")
     res = column_sample_solve(inst, args.eps, seed=args.seed)
     print(f"objective = {real(res.objective)}")
     print(f"accepted = {int(res.x.sum())} of {inst.n}")
@@ -234,7 +240,7 @@ def cmd_sample_lp(args) -> int:
             "eps": args.eps,
             "seed": args.seed,
             "objective": res.objective,
-            "x": [int(v) for v in res.x],
+            "x": res.x.tolist(),
             "fill": [float(v) for v in res.fill],
             "guard_rejections": res.guard_rejections,
             "price": [float(v) for v in res.price.p],

@@ -19,8 +19,10 @@ The schedule (where prices are learned and with what capacity shrink), its
 walk, the prefix LP and the decision kernel are written once in ``_core``
 and shared with the multi-choice policy; ``h_factor`` and
 ``geometric_schedule`` are re-exported from there.  This module supplies
-the scalar learn step: the batch runs walk the schedule one price epoch at
-a time, ``step`` one arrival at a time.
+the learn step, ``sample_lp`` and ``learn_price``, which take either
+instance kind: the batch runs walk the schedule one price epoch at a time
+and return a ``RunResult`` with the option each arrival took, ``step``
+walks it one scalar arrival at a time.
 """
 
 from __future__ import annotations
@@ -66,12 +68,17 @@ def allocation_rule(price: DualPrice, col: Column) -> int:
     return int(price_rule(price.p, [[col.pi]], col.a[None, None, :])[0] >= 0)
 
 
-def sample_lp(inst: Instance | MultiInstance, ell: int, shrink: float) -> BoxedLp:
-    """The prefix LP over columns 1..ell with capacities (1-shrink)*(ell/n)*b.
+def sample_lp(
+    inst: Instance | MultiInstance, ell: int | None = None, shrink: float = 0.0
+) -> BoxedLp:
+    """The prefix LP over arrivals 1..ell (default all), capacities (1-shrink)*(ell/n)*b.
 
-    Either instance kind: a multi-choice arrival's k options form one group
-    of the LP (``BoxedLp.k``), summing to at most 1.
+    With ``ell = n`` and ``shrink = 0`` this is the full offline LP.  Either
+    instance kind: a multi-choice arrival's k options form one group of the
+    LP (``BoxedLp.k``), summing to at most 1, and a scalar arrival is a
+    group of one.
     """
+    ell = inst.n if ell is None else ell
     if not 1 <= ell <= inst.n:
         raise ValueError(f"ell must be in [1, n], got ell={ell}, n={inst.n}")
     if not 0.0 <= shrink < 1.0:
@@ -80,11 +87,12 @@ def sample_lp(inst: Instance | MultiInstance, ell: int, shrink: float) -> BoxedL
     return packing_lp(rewards[:ell], consumption[:ell], inst.b, inst.n, shrink)
 
 
-def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
+def learn_price(inst: Instance | MultiInstance, ell: int, shrink: float) -> DualPrice:
     """Dual prices of the prefix LP (negatives from roundoff clipped to zero).
 
     Args:
-        inst: the instance whose first ``ell`` columns are visible.
+        inst: the instance, of either kind, whose first ``ell`` arrivals are
+            visible.
         ell: prefix length, 1 <= ell <= n.
         shrink: capacity shrink factor in [0, 1); the prefix LP right-hand
             side is (1 - shrink) * (ell / n) * b.
@@ -92,25 +100,17 @@ def learn_price(inst: Instance, ell: int, shrink: float) -> DualPrice:
     return dual_price(solve_boxed_lp(sample_lp(inst, ell, shrink)))
 
 
-def _run(inst: Instance, eps: float, mode: str) -> RunResult:
-    choices, *outcome = run_epochs(
-        *options(inst), inst.b, schedule(inst.n, eps, mode),
-        lambda ell, shrink: learn_price(inst, ell, shrink),
-    )
-    return RunResult((choices >= 0).astype(np.int8), *outcome)
-
-
-def run_ola(inst: Instance, eps: float) -> RunResult:
+def run_ola(inst: Instance | MultiInstance, eps: float) -> RunResult:
     """One-time learning: a single price from the first ceil(n*eps) columns.
 
     Those columns are declined; each later column is accepted when the rule
     fires and its consumption fits every row's remaining capacity (checked
     exactly, so the fill can never exceed b).
     """
-    return _run(inst, eps, "ola")
+    return run_epochs(inst, eps, "ola", learn_price)
 
 
-def run_dpa(inst: Instance, eps: float) -> RunResult:
+def run_dpa(inst: Instance | MultiInstance, eps: float) -> RunResult:
     """Dynamic pricing: prices re-learned at geometrically spaced points.
 
     The price learned from the first ``ell`` columns governs arrivals
@@ -118,7 +118,7 @@ def run_dpa(inst: Instance, eps: float) -> RunResult:
     carry the h_factor shrink, so early prices over-protect capacity while
     little has been observed.
     """
-    return _run(inst, eps, "dpa")
+    return run_epochs(inst, eps, "dpa", learn_price)
 
 
 @dataclass

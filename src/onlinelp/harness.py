@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._core import decide, dual_price, objective, options, packing_lp, price_rule, sample_size
-from .engine import run_dpa, run_ola, sample_lp
+from .engine import run_dpa, run_ola
 from .generators import shuffle
 from .lp import perturb_rewards, solve_boxed_lp
-from .model import DualPrice, Instance, MultiInstance, MultiRunResult, RunResult, onehot
+from .model import DualPrice, Instance, MultiInstance, RunResult, onehot
 from .multi import flatten_lp, run_dpa_multi
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 ALGORITHMS = ("ola", "dpa", "dpa_multi", "greedy_baseline")
 
 
-def dispatch(inst: Instance | MultiInstance, algo: str, eps: float):
+def dispatch(inst: Instance | MultiInstance, algo: str, eps: float) -> RunResult:
     """Run the policy named ``algo``, one of ``ALGORITHMS``, on the instance."""
     multi = inst.rewards.ndim == 2
     if algo == "greedy_baseline":
@@ -70,12 +70,12 @@ def offline_opt(inst: Instance | MultiInstance) -> tuple[float, np.ndarray, Dual
     return sol.objective, sol.x.reshape(inst.rewards.shape), dual_price(sol)
 
 
-def greedy_baseline(inst: Instance | MultiInstance):
+def greedy_baseline(inst: Instance | MultiInstance) -> RunResult:
     """First-come allocation with no prices: take whatever still fits.
 
-    Scalar instances accept every column that fits the remaining capacity;
-    multi-choice instances take the best-paying option that fits, if any.
-    A deliberately weak yardstick for the priced policies.
+    Each arrival takes its best-paying option that fits the remaining
+    capacity, if any (a scalar arrival: its one column).  A deliberately
+    weak yardstick for the priced policies.
     """
     rewards, consumption = options(inst)
     remaining = inst.b.copy()
@@ -88,10 +88,7 @@ def greedy_baseline(inst: Instance | MultiInstance):
         if r >= 0:
             choices[t] = r
             remaining -= consumption[t, r]
-    value, fill = objective(rewards, choices), inst.b - remaining
-    if isinstance(inst, MultiInstance):
-        return MultiRunResult(choices=choices, objective=value, fill=fill)
-    return RunResult(decisions=(choices >= 0).astype(np.int8), objective=value, fill=fill)
+    return RunResult(choices, objective(rewards, choices), inst.b - remaining)
 
 
 @dataclass(frozen=True)
@@ -159,8 +156,9 @@ def run_trials(
 
     Trial r shuffles with seed ``base_seed + r`` (r = 1..trials), so results
     are reproducible and different policies can be compared on identical
-    arrival orders.  ``jobs > 1`` runs trials in worker processes; records
-    come back in trial order either way.
+    arrival orders.  ``jobs > 1`` runs trials in up to ``jobs`` worker
+    processes, never more than there are trials; records come back in trial
+    order either way.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -168,8 +166,9 @@ def run_trials(
     opt, _, _ = offline_opt(inst)
     stats = TrialStats(algo=algo, eps=eps, opt=opt)
     seeds = [(r, base_seed + r) for r in range(1, trials + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_one_trial, inst, algo, eps, r, seed, opt)
                 for r, seed in seeds
@@ -218,7 +217,7 @@ def lemma_sample_opt_oracle(
     values = []
     for r in range(1, trials + 1):
         shuffled = shuffle(inst, base_seed + r)
-        values.append(solve_boxed_lp(sample_lp(shuffled, s, eps)).objective)
+        values.append(solve_boxed_lp(flatten_lp(shuffled, s, eps)).objective)
     return float(np.mean(values)), eps * opt
 
 

@@ -82,6 +82,7 @@ _FEAS_TOL = 1e-7     # row-violation slop, scaled by max(1, ||d||_inf)
 _GAP_TOL = 1e-7      # relative duality-gap tolerance
 _PIVOT_TOL = 1e-11   # entries smaller than this (scaled) are treated as zero
 _REFACTOR_EVERY = 200
+_PIVOTS_PER_VARIABLE = 50  # iteration cap: this many per variable, m + s in all
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,11 @@ class LpSolution:
         return float(lp.d @ self.dual + _group_duals(lp, rc).sum())
 
 
-def solve_boxed_lp(lp: BoxedLp, pivot_cap: int | None = None) -> LpSolution:
+def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     """Solve the grouped LP to optimality.
 
     Args:
         lp: problem data.
-        pivot_cap: iteration cap; defaults to 50 * (m + s).  Exceeding it
-            raises CycleLimitExceeded.
 
     Returns:
         LpSolution with primal x >= 0 whose groups sum to at most 1, the m
@@ -172,6 +171,8 @@ def solve_boxed_lp(lp: BoxedLp, pivot_cap: int | None = None) -> LpSolution:
         its whole group (x = 1).
 
     Raises:
+        CycleLimitExceeded: if no optimum is reached within
+            ``_PIVOTS_PER_VARIABLE * (m + s)`` iterations.
         InternalError: if the answer fails its own certificate (a row or
             group violated, or a duality gap).
     """
@@ -191,8 +192,7 @@ def solve_boxed_lp(lp: BoxedLp, pivot_cap: int | None = None) -> LpSolution:
     xb = lp.d.copy()
     cw = np.zeros(m)         # cost of each working column, c_v - c_key
 
-    if pivot_cap is None:
-        pivot_cap = 50 * (m + s)
+    pivot_cap = _PIVOTS_PER_VARIABLE * (m + s)
     bland_after = 10 * (m + s)
     cost_scale = max(1.0, float(np.abs(lp.c).max()))
     tol_rc = 1e-9 * cost_scale

@@ -6,17 +6,19 @@ vector ``a_t`` in ``[0, 1]^m``, and row ``i`` has capacity ``b_i > 0``.  The
 multi-choice variant replaces the scalar decision with a pick among ``k``
 options per arrival (reward vector ``f_t``, consumption matrix ``G_t``).
 
-Columns are stored as dense arrays internally; :class:`Column` /
-:class:`MultiColumn` are lightweight per-arrival views used by the streaming
-API.  JSON serialization writes reals with 17 significant digits so files
-round-trip bit-exactly.
+Columns are stored as dense arrays; a scalar instance is read by the
+policies as the multi-choice one with k = 1.  :class:`Column` is one
+arrival of the streaming API (``engine.step``) and :class:`MultiColumn` one
+multi-choice arrival for ``multi_allocation_rule``.  A run of any policy
+returns one :class:`RunResult`.  JSON serialization writes reals with 17
+significant digits so files round-trip bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator
 
 import numpy as np
 
@@ -29,7 +31,6 @@ __all__ = [
     "MultiInstance",
     "DualPrice",
     "RunResult",
-    "MultiRunResult",
     "instance_to_json",
     "instance_from_json",
     "load_instance",
@@ -106,10 +107,6 @@ class MultiColumn:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "G", G)
 
-    @property
-    def k(self) -> int:
-        return self.f.size
-
 
 def _validate(inst, option_shape: tuple[int, ...]) -> None:
     """Coerce and check an instance in place; ``option_shape`` is () or (k,).
@@ -162,16 +159,6 @@ class Instance:
     def __post_init__(self):
         _validate(self, ())
 
-    @classmethod
-    def from_columns(cls, b, columns: list[Column], meta: dict | None = None) -> "Instance":
-        b = _as_float_vector(b, "b")
-        n = len(columns)
-        if n == 0:
-            raise ValueError("instance needs at least one column")
-        rewards = np.array([c.pi for c in columns], dtype=np.float64)
-        consumption = np.stack([c.a for c in columns]).astype(np.float64)
-        return cls(m=b.size, n=n, b=b, rewards=rewards, consumption=consumption, meta=meta)
-
     def column(self, t: int) -> Column:
         """Column at position ``t`` (0-based)."""
         return Column(pi=float(self.rewards[t]), a=self.consumption[t].copy())
@@ -203,16 +190,6 @@ class MultiInstance:
     def __post_init__(self):
         _validate(self, (self.k,))
 
-    def column(self, t: int) -> MultiColumn:
-        return MultiColumn(f=self.rewards[t].copy(), G=self.consumption[t].copy())
-
-    def columns(self) -> Iterator[MultiColumn]:
-        for t in range(self.n):
-            yield self.column(t)
-
-
-AnyInstance = Union[Instance, MultiInstance]
-
 
 @dataclass(frozen=True)
 class DualPrice:
@@ -233,30 +210,15 @@ class DualPrice:
 
 @dataclass
 class RunResult:
-    """Outcome of one online run on a scalar-decision instance.
+    """Outcome of one online run, of any policy on either instance kind.
 
-    ``decisions`` holds 0/1 per arrival; ``fill`` is the consumed capacity per
-    row (never exceeding ``b``, enforced by the capacity guard during the run);
-    ``prices_used`` logs each learned price as ``(ell, DualPrice)`` where
-    ``ell`` is the number of columns the price was learned from.
-    """
-
-    decisions: np.ndarray
-    objective: float
-    fill: np.ndarray
-    prices_used: list[tuple[int, DualPrice]] = field(default_factory=list)
-
-    @property
-    def accepted(self) -> int:
-        return int(self.decisions.sum())
-
-
-@dataclass
-class MultiRunResult:
-    """Outcome of one online run on a multi-choice instance.
-
-    ``choices[t]`` is the chosen option index, or -1 when the arrival was
-    declined.  ``objective`` is the summed reward of the chosen options.
+    ``choices[t]`` is the option arrival t took, or -1 when it was declined
+    (a scalar instance's only option is 0); ``decisions`` reads them as 0/1.
+    ``objective`` is the summed reward of the taken options; ``fill`` is the
+    consumed capacity per row (never exceeding ``b``, enforced by the
+    capacity guard during the run); ``prices_used`` logs each learned price
+    as ``(ell, DualPrice)`` where ``ell`` is the number of arrivals the price
+    was learned from.
     """
 
     choices: np.ndarray
@@ -265,12 +227,12 @@ class MultiRunResult:
     prices_used: list[tuple[int, DualPrice]] = field(default_factory=list)
 
     @property
-    def accepted(self) -> int:
-        return int((self.choices >= 0).sum())
+    def decisions(self) -> np.ndarray:
+        return (self.choices >= 0).astype(np.int8)
 
-    def decisions_onehot(self, k: int) -> np.ndarray:
-        """Decisions as an (n, k) 0/1 array."""
-        return onehot(self.choices, k).astype(np.int8)
+    @property
+    def accepted(self) -> int:
+        return int(self.decisions.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +247,7 @@ def _real_list(xs) -> str:
     return "[" + ", ".join(real(v) for v in xs) + "]"
 
 
-def instance_to_json(inst: AnyInstance) -> str:
+def instance_to_json(inst: Instance | MultiInstance) -> str:
     """Serialize an instance to the interchange JSON format."""
     lines = ["{"]
     lines.append(f'  "m": {inst.m},')
@@ -315,7 +277,7 @@ def instance_to_json(inst: AnyInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def instance_from_json(text: str) -> AnyInstance:
+def instance_from_json(text: str) -> Instance | MultiInstance:
     """Parse the interchange JSON format into an instance.
 
     Raises ParseError on malformed JSON or schema violations.
@@ -365,11 +327,11 @@ def instance_from_json(text: str) -> AnyInstance:
         raise ParseError(f"instance schema violation: {exc}") from exc
 
 
-def save_instance(inst: AnyInstance, path) -> None:
+def save_instance(inst: Instance | MultiInstance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(instance_to_json(inst))
 
 
-def load_instance(path) -> AnyInstance:
+def load_instance(path) -> Instance | MultiInstance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_json(fh.read())

@@ -7,11 +7,13 @@ take the option with the largest priced surplus ``f_j - p' G[:, j]`` when
 that surplus is positive, subject to the exact capacity guard.  The
 schedule, its walk, the rule and the guard are written once in ``_core``,
 which the scalar policies run as k = 1; this module supplies the
-multi-choice learn step, ``learn_price_multi``.
+multi-choice learn step, ``learn_price_multi``.  ``run_dpa_multi`` returns
+the same ``RunResult`` as ``engine.run_dpa``, choice for choice.
 
-The prefix LP flattens the first ``ell`` arrivals into one boxed LP: one
-scalar variable per (arrival, option) pair and the m resource rows, scaled
-and shrunk exactly as in the scalar case.  Each arrival's k options form one
+The prefix LP, ``flatten_lp`` (the multi-choice name of ``engine.sample_lp``),
+flattens the first ``ell`` arrivals into one boxed LP: one scalar variable
+per (arrival, option) pair and the m resource rows, scaled and shrunk
+exactly as in the scalar case.  Each arrival's k options form one
 group that sums to at most 1; the solver keeps these groups implicit
 (generalized upper bounds, Dantzig & Van Slyke 1967), so its basis is m by m
 however many arrivals there are, and its duals are the m row prices the
@@ -22,14 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._core import dual_price, options, price_rule, run_epochs, schedule
+from ._core import dual_price, price_rule, run_epochs
 from .errors import AllZeroBids, DimensionMismatch
 from .engine import sample_lp
-from .lp import BoxedLp, solve_boxed_lp
-from .model import DualPrice, Instance, MultiColumn, MultiInstance, MultiRunResult
+from .lp import solve_boxed_lp
+from .model import DualPrice, MultiColumn, MultiInstance, RunResult
 
 __all__ = [
-    "MultiDecision",
     "multi_allocation_rule",
     "flatten_lp",
     "learn_price_multi",
@@ -37,11 +38,7 @@ __all__ = [
     "adwords_to_multi",
 ]
 
-# A multi-choice decision: the chosen option index, or None to decline.
-MultiDecision = int | None
-
-
-def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> MultiDecision:
+def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> int | None:
     """Option with the largest positive priced surplus, or None if there is none.
 
     Ties on the surplus go to the lowest option index; an option priced
@@ -55,16 +52,9 @@ def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> MultiDecision:
     return None if r < 0 else r
 
 
-def flatten_lp(
-    minst: Instance | MultiInstance, ell: int | None = None, shrink: float = 0.0
-) -> BoxedLp:
-    """Flatten the first ``ell`` arrivals (default all) into one boxed LP.
-
-    The resource rows get capacities (1 - shrink) * (ell / n) * b; with
-    ``ell = n`` and ``shrink = 0`` this is the full offline LP.  Built by
-    ``_core.packing_lp``, so a scalar instance gets the scalar LP.
-    """
-    return sample_lp(minst, minst.n if ell is None else ell, shrink)
+# The multi-choice name of the one prefix/offline LP builder, which takes
+# either instance kind.
+flatten_lp = sample_lp
 
 
 def learn_price_multi(minst: MultiInstance, ell: int, shrink: float) -> DualPrice:
@@ -72,7 +62,7 @@ def learn_price_multi(minst: MultiInstance, ell: int, shrink: float) -> DualPric
     return dual_price(solve_boxed_lp(flatten_lp(minst, ell, shrink)))
 
 
-def run_dpa_multi(minst: MultiInstance, eps: float) -> MultiRunResult:
+def run_dpa_multi(minst: MultiInstance, eps: float) -> RunResult:
     """Dynamic pricing over multi-choice arrivals.
 
     Same protocol as run_dpa: decline the first ceil(n*eps) arrivals,
@@ -80,10 +70,7 @@ def run_dpa_multi(minst: MultiInstance, eps: float) -> MultiRunResult:
     shrink, and between updates pick each arrival's best surplus option if
     it is positive and fits the remaining capacity in every row.
     """
-    return MultiRunResult(*run_epochs(
-        *options(minst), minst.b, schedule(minst.n, eps, "dpa"),
-        lambda ell, shrink: learn_price_multi(minst, ell, shrink),
-    ))
+    return run_epochs(minst, eps, "dpa", learn_price_multi)
 
 
 def adwords_to_multi(bids, budgets) -> MultiInstance:

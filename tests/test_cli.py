@@ -243,8 +243,13 @@ class TestSampleLp:
         assert len(payload["sample_indices"]) == 30
         assert payload["guard_rejections"] >= 0
 
-    def test_multi_instance_rejected(self, adwords_file):
-        assert main(["sample-lp", "-i", str(adwords_file), "--eps", "0.2"]) == 3
+    def test_multi_instance_gives_onehot_rows(self, adwords_file, tmp_path):
+        dest = tmp_path / "slp.json"
+        assert main(["sample-lp", "-i", str(adwords_file), "--eps", "0.2",
+                     "-o", str(dest)]) == 0
+        x = np.array(json.loads(dest.read_text())["x"])
+        assert x.shape == (80, 2)
+        assert set(x.ravel().tolist()) <= {0, 1} and x.sum(axis=1).max() <= 1
 
 
 class TestCheck:
@@ -290,6 +295,12 @@ class TestUsageErrors:
                      "--eps", "1.5"]) == 2
         assert main(["bench", "-i", str(secretary_file), "--eps", "0.1,nope",
                      "--trials", "1"]) == 2
+
+    def test_jobs_below_one(self, secretary_file, capsys):
+        for jobs in ("0", "-1"):
+            assert main(["bench", "-i", str(secretary_file), "--trials", "1",
+                         "--jobs", jobs]) == 2
+            assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -1,6 +1,9 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from onlinelp import harness
 from onlinelp import (
     DegenerateWindow,
     Instance,
@@ -9,6 +12,7 @@ from onlinelp import (
     gen_secretary,
     generate,
     GenSpec,
+    RunResult,
     greedy_baseline,
     lemma_kkt_oracle,
     lemma_sample_opt_oracle,
@@ -103,6 +107,31 @@ class TestRunTrials:
                             for r in recs]
         assert key(serial.records) == key(parallel.records)
 
+    def test_pool_never_larger_than_trials(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size it is asked for and runs each task inline."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        stats = run_trials(routing(n=60), "ola", 0.2, trials=3, jobs=64)
+        assert sizes == [3]
+        assert [r.trial for r in stats.records] == [1, 2, 3]
+
     def test_greedy_works_on_both_kinds(self):
         scalar = run_trials(routing(), "greedy_baseline", 0.1, trials=2)
         assert scalar.violations == 0
@@ -124,6 +153,17 @@ class TestRunTrials:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_trials(routing(), "dpa", 0.1, trials=0)
+
+
+def test_every_algorithm_returns_a_run_result():
+    scalar = routing()
+    multi_inst = generate(GenSpec(kind="adwords", seed=1, params={"n": 40, "m": 2}))
+    for algo in harness.ALGORITHMS:
+        inst = multi_inst if algo == "dpa_multi" else scalar
+        res = harness.dispatch(inst, algo, 0.1)
+        assert type(res) is RunResult
+        assert res.choices.dtype == np.int64 and res.choices.shape == (inst.n,)
+    assert type(harness.dispatch(multi_inst, "greedy_baseline", 0.1)) is RunResult
 
 
 class TestLemmaKkt:

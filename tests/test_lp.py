@@ -131,10 +131,11 @@ def test_invalid_data_rejected():
         BoxedLp(c=np.array([np.nan]), A=np.ones((1, 1)), d=np.ones(1))
 
 
-def test_pivot_cap_raises_cycle_limit():
+def test_pivot_cap_raises_cycle_limit(monkeypatch):
+    monkeypatch.setattr(lp_module, "_PIVOTS_PER_VARIABLE", 0)  # no iteration allowed
     lp = _lp([4.0, 3.0, 2.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.5])
     with pytest.raises(CycleLimitExceeded):
-        solve_boxed_lp(lp, pivot_cap=1)
+        solve_boxed_lp(lp)
 
 
 def test_dual_objective_is_the_box_formula_at_k1():

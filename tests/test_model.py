@@ -161,9 +161,10 @@ class TestParseErrors:
 
 
 def test_run_result_accepted_counts_ones():
-    res = RunResult(decisions=np.array([0, 1, 1, 0], dtype=np.int8),
-                    objective=2.0, fill=np.array([2.0]))
+    res = RunResult(choices=np.array([-1, 0, 2, -1]), objective=2.0, fill=np.array([2.0]))
     assert res.accepted == 2
+    assert res.decisions.dtype == np.int8
+    np.testing.assert_array_equal(res.decisions, [0, 1, 1, 0])
 
 
 def test_columns_iterator_matches_arrays():

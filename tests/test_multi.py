@@ -5,11 +5,13 @@ from onlinelp import (
     AllZeroBids,
     DimensionMismatch,
     DualPrice,
+    GenSpec,
     Instance,
     MultiColumn,
     MultiInstance,
     adwords_to_multi,
     flatten_lp,
+    generate,
     greedy_baseline,
     learn_price_multi,
     lemma_kkt_oracle,
@@ -172,6 +174,13 @@ class TestRunDpaMulti:
             for scalar, multi in copies:
                 assert np.array_equal(scalar.rewards, multi.rewards[:, 0])
                 assert np.array_equal(scalar.consumption, multi.consumption[:, :, 0])
+
+    def test_run_dpa_keeps_the_option_index(self):
+        minst = generate(GenSpec(kind="adwords", seed=4, params={"n": 200, "m": 3}))
+        via_scalar_name, via_multi = run_dpa(minst, 0.1), run_dpa_multi(minst, 0.1)
+        assert via_multi.choices.max() > 0  # some arrival took an option past the first
+        assert via_scalar_name.choices.tobytes() == via_multi.choices.tobytes()
+        assert via_scalar_name.objective == via_multi.objective
 
 
 class TestAdwords:
