@@ -59,7 +59,6 @@ from .engine import (
     step,
 )
 from .multi import (
-    adwords_to_multi,
     flatten_lp,
     learn_price_multi,
     multi_allocation_rule,
@@ -67,6 +66,7 @@ from .multi import (
 )
 from .generators import (
     GenSpec,
+    adwords_to_multi,
     gen_adwords,
     gen_routing,
     gen_secretary,

@@ -17,10 +17,10 @@ import io
 import json
 import os
 import sys
+from functools import partial
 from typing import get_args
 
-from ._core import options
-from .engine import CONDITION_VARIANTS, check_input_condition
+from .engine import CONDITION_VARIANTS, check_input_condition, options
 from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
 from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_trials
@@ -47,14 +47,15 @@ def _eps_value(text: str) -> float:
     return eps
 
 
-def _jobs_value(text: str) -> int:
+def _positive_int(name: str, text: str) -> int:
+    """An integer flag value of at least 1; bind ``name`` with ``partial``."""
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"jobs must be >= 1, got {text}")
-    return jobs
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {text}")
+    return value
 
 
 def _name_list(text: str) -> list[str]:
@@ -105,11 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated policy names")
     bench.add_argument("--eps", type=_eps_grid, default=[0.05, 0.1, 0.2],
                        help="comma-separated eps grid")
-    bench.add_argument("--trials", type=int, default=20)
+    bench.add_argument("--trials", type=partial(_positive_int, "trials"), default=20)
     bench.add_argument("--base-seed", type=int, default=0)
     bench.add_argument("-o", "--output", default=None,
                        help="CSV path (stdout when omitted)")
-    bench.add_argument("--jobs", type=_jobs_value, default=os.cpu_count() or 1,
+    bench.add_argument("--jobs", type=partial(_positive_int, "jobs"),
+                       default=os.cpu_count() or 1,
                        help="worker processes, at most one per trial")
     bench.add_argument("--timings", action="store_true",
                        help="record wall time per trial (off keeps CSV reproducible)")

@@ -2,14 +2,16 @@
 
 Four families: network-routing style 0/1 consumption columns, single-knapsack
 "secretary" columns, adwords bid tables (converted to multi-choice
-instances), and a yield-management stream with Poisson arrival counts.  All
-randomness flows through ``numpy.random.default_rng(seed)``, so every family
-regenerates bit-identically for a fixed seed, and each instance records its
-generating parameters in ``meta``.
+instances by ``adwords_to_multi``), and a yield-management stream with
+Poisson arrival counts.  All randomness flows through
+``numpy.random.default_rng(seed)``, so every family regenerates
+bit-identically for a fixed seed, and each instance records its generating
+parameters in ``meta``.
 
 ``GENERATORS`` maps each kind to its generator, whose signature is the only
 record of the family's parameters: ``generate`` checks specs against it and
-the CLI derives its ``gen`` flags from it.
+the CLI derives its ``gen`` flags from it.  The module builds instances
+only: it imports ``errors`` and ``model``, none of the policy or the solver.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import BadSpec
+from .errors import AllZeroBids, BadSpec
 from .model import Instance, MultiInstance
-from .multi import adwords_to_multi
 
 __all__ = [
     "GenSpec",
@@ -34,6 +35,7 @@ __all__ = [
     "gen_secretary",
     "gen_adwords",
     "gen_yield",
+    "adwords_to_multi",
     "shuffle",
 ]
 
@@ -158,6 +160,46 @@ def gen_adwords(
     else:
         raise BadSpec(f"unknown budget_rule {budget_rule!r}")
     return bids, budgets
+
+
+def adwords_to_multi(bids, budgets) -> MultiInstance:
+    """Map an n-by-m bid table with per-bidder budgets to a multi-choice instance.
+
+    Query ``t`` becomes an arrival with k = m options (one per bidder):
+    option ``i`` pays ``bids[t, i]`` in original units and consumes
+    ``bids[t, i] / max_bid_i`` of bidder i's budget row, where ``max_bid_i``
+    is bidder i's largest bid anywhere in the table.  Budget rows are scaled
+    by the same factor so all consumption lands in [0, 1].  The scale
+    factors are recorded in the instance metadata.
+
+    Raises AllZeroBids if the whole table is zero.  Bidders who never bid
+    keep their budget row unscaled (their options are never worth taking).
+    """
+    bids = np.asarray(bids, dtype=np.float64)
+    budgets = np.asarray(budgets, dtype=np.float64)
+    if bids.ndim != 2:
+        raise ValueError(f"bids must be an n-by-m table, got shape {bids.shape}")
+    n, m = bids.shape
+    if budgets.shape != (m,):
+        raise ValueError(f"budgets has shape {budgets.shape}, expected ({m},)")
+    if not np.all(np.isfinite(bids)) or bids.min() < 0.0:
+        raise ValueError("bids must be finite and nonnegative")
+    if bids.max() <= 0.0:
+        raise AllZeroBids("every bid in the table is zero")
+    scale = bids.max(axis=0)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    consumption = np.zeros((n, m, m))
+    idx = np.arange(m)
+    consumption[:, idx, idx] = bids / scale
+    return MultiInstance(
+        m=m, n=n, k=m, b=budgets / scale,
+        rewards=bids.copy(), consumption=consumption,
+        meta={
+            "kind": "adwords",
+            "row_scale": [float(v) for v in scale],
+            "budgets_original": [float(v) for v in budgets],
+        },
+    )
 
 
 def gen_yield(

@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._core import decide, dual_price, objective, options, packing_lp, price_rule, sample_size
-from .engine import run_dpa, run_ola
+from .engine import (
+    decide, dual_price, objective, options, packing_lp, price_rule, run_dpa, run_ola,
+    sample_size,
+)
 from .generators import shuffle
 from .lp import perturb_rewards, solve_boxed_lp
 from .model import DualPrice, Instance, MultiInstance, RunResult, onehot
@@ -42,20 +44,15 @@ ALGORITHMS = ("ola", "dpa", "dpa_multi", "greedy_baseline")
 
 
 def dispatch(inst: Instance | MultiInstance, algo: str, eps: float) -> RunResult:
-    """Run the policy named ``algo``, one of ``ALGORITHMS``, on the instance."""
-    multi = inst.rewards.ndim == 2
-    if algo == "greedy_baseline":
-        return greedy_baseline(inst)
-    if algo == "dpa_multi":
-        if not multi:
-            raise ValueError("dpa_multi needs a multi-choice instance")
-        return run_dpa_multi(inst, eps)
-    if multi:
-        raise ValueError(f"{algo} needs a scalar instance; use dpa_multi")
+    """Run the policy named ``algo``, one of ``ALGORITHMS``, on either instance kind."""
     if algo == "ola":
         return run_ola(inst, eps)
     if algo == "dpa":
         return run_dpa(inst, eps)
+    if algo == "dpa_multi":
+        return run_dpa_multi(inst, eps)
+    if algo == "greedy_baseline":
+        return greedy_baseline(inst)
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
@@ -112,7 +109,6 @@ class TrialStats:
     eps: float
     opt: float
     records: list[TrialRecord] = field(default_factory=list)
-    wall_time_s: float = 0.0
 
     @property
     def ratios(self) -> np.ndarray:
@@ -162,7 +158,6 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    start = time.perf_counter()
     opt, _, _ = offline_opt(inst)
     stats = TrialStats(algo=algo, eps=eps, opt=opt)
     seeds = [(r, base_seed + r) for r in range(1, trials + 1)]
@@ -176,7 +171,6 @@ def run_trials(
             stats.records = [f.result() for f in futures]
     else:
         stats.records = [_one_trial(inst, algo, eps, r, seed, opt) for r, seed in seeds]
-    stats.wall_time_s = time.perf_counter() - start
     return stats
 
 

@@ -32,17 +32,18 @@ Implementation notes, since the details matter for reproducibility:
 * Variables are ordered: each group's options, then its slack; the row
   slacks last.  Pricing starts with Dantzig's rule (most violating reduced
   cost, earliest variable on ties) and switches to Bland's rule after
-  ``10 * (m + s)`` iterations so termination is guaranteed.  In the ratio
-  test the entering variable's own key wins a tie (the bound flip), then
-  the earliest variable; this pins down which of the degenerate dual
-  solutions is reported, and identical inputs take identical pivot paths.
+  ``_DANTZIG_PIVOTS_PER_VARIABLE * (m + s)`` iterations so termination is
+  guaranteed.  In the ratio test the entering variable's own key wins a
+  tie (the bound flip), then the earliest variable; this pins down which
+  of the degenerate dual solutions is reported, and identical inputs take
+  identical pivot paths.
 * The basis inverse is maintained explicitly with rank-one pivot updates and
   refactorized from scratch periodically (and once more at termination)
   to keep drift out of the reported solution.
 * Before returning, the solver certifies its answer: every row and group
   is feasible, and the primal and dual objectives agree.
 
-The module depends only on numpy and ``errors``, so ``_core`` can build its
+The module depends only on numpy and ``errors``, so ``engine`` can build its
 LPs on ``BoxedLp``.  ``perturb_rewards`` copies either instance kind with
 ``dataclasses.replace`` rather than naming the classes of ``model``.
 """
@@ -83,6 +84,7 @@ _GAP_TOL = 1e-7      # relative duality-gap tolerance
 _PIVOT_TOL = 1e-11   # entries smaller than this (scaled) are treated as zero
 _REFACTOR_EVERY = 200
 _PIVOTS_PER_VARIABLE = 50  # iteration cap: this many per variable, m + s in all
+_DANTZIG_PIVOTS_PER_VARIABLE = 10  # then Bland's rule, which cannot cycle
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     cw = np.zeros(m)         # cost of each working column, c_v - c_key
 
     pivot_cap = _PIVOTS_PER_VARIABLE * (m + s)
-    bland_after = 10 * (m + s)
+    bland_after = _DANTZIG_PIVOTS_PER_VARIABLE * (m + s)
     cost_scale = max(1.0, float(np.abs(lp.c).max()))
     tol_rc = 1e-9 * cost_scale
     piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(A).max()))

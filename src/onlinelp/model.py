@@ -300,29 +300,22 @@ def instance_from_json(text: str) -> Instance | MultiInstance:
     if not isinstance(cols, list) or len(cols) != n:
         raise ParseError(f"columns must be a list of length n={n}")
     meta = obj.get("meta")
+
+    def stacked(key: str) -> np.ndarray:
+        # One array per key: a short or scalar entry stays short, and the
+        # instance's shape check rejects it instead of broadcasting it.
+        return np.array([col[key] for col in cols], dtype=np.float64)
+
     try:
         if "k" in obj:
-            k = obj["k"]
-            rewards = np.empty((n, k), dtype=np.float64)
-            consumption = np.empty((n, m, k), dtype=np.float64)
-            for t, col in enumerate(cols):
-                rewards[t] = np.asarray(col["f"], dtype=np.float64)
-                consumption[t] = np.asarray(col["G"], dtype=np.float64)
             return MultiInstance(
-                m=m, n=n, k=k, b=np.asarray(obj["b"], dtype=np.float64),
-                rewards=rewards, consumption=consumption, meta=meta,
+                m=m, n=n, k=obj["k"], b=np.asarray(obj["b"], dtype=np.float64),
+                rewards=stacked("f"), consumption=stacked("G"), meta=meta,
             )
-        rewards = np.empty(n, dtype=np.float64)
-        consumption = np.empty((n, m), dtype=np.float64)
-        for t, col in enumerate(cols):
-            rewards[t] = float(col["pi"])
-            consumption[t] = np.asarray(col["a"], dtype=np.float64)
         return Instance(
             m=m, n=n, b=np.asarray(obj["b"], dtype=np.float64),
-            rewards=rewards, consumption=consumption, meta=meta,
+            rewards=stacked("pi"), consumption=stacked("a"), meta=meta,
         )
-    except ParseError:
-        raise
     except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
         raise ParseError(f"instance schema violation: {exc}") from exc
 

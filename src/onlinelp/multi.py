@@ -5,8 +5,8 @@ matrix ``G_t`` (m rows by k options); at most one option may be taken.  The
 pricing policy is the scalar one: learn row prices from a prefix LP, then
 take the option with the largest priced surplus ``f_j - p' G[:, j]`` when
 that surplus is positive, subject to the exact capacity guard.  The
-schedule, its walk, the rule and the guard are written once in ``_core``,
-which the scalar policies run as k = 1; this module supplies the
+schedule, its walk, the rule and the guard are written once in ``engine``,
+whose policies run a scalar instance as k = 1; this module supplies the
 multi-choice learn step, ``learn_price_multi``.  ``run_dpa_multi`` returns
 the same ``RunResult`` as ``engine.run_dpa``, choice for choice.
 
@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._core import dual_price, price_rule, run_epochs
-from .errors import AllZeroBids, DimensionMismatch
-from .engine import sample_lp
+from .engine import dual_price, price_rule, run_epochs, sample_lp
+from .errors import DimensionMismatch
 from .lp import solve_boxed_lp
 from .model import DualPrice, MultiColumn, MultiInstance, RunResult
 
@@ -35,7 +34,6 @@ __all__ = [
     "flatten_lp",
     "learn_price_multi",
     "run_dpa_multi",
-    "adwords_to_multi",
 ]
 
 def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> int | None:
@@ -71,43 +69,3 @@ def run_dpa_multi(minst: MultiInstance, eps: float) -> RunResult:
     it is positive and fits the remaining capacity in every row.
     """
     return run_epochs(minst, eps, "dpa", learn_price_multi)
-
-
-def adwords_to_multi(bids, budgets) -> MultiInstance:
-    """Map an n-by-m bid table with per-bidder budgets to a multi-choice instance.
-
-    Query ``t`` becomes an arrival with k = m options (one per bidder):
-    option ``i`` pays ``bids[t, i]`` in original units and consumes
-    ``bids[t, i] / max_bid_i`` of bidder i's budget row, where ``max_bid_i``
-    is bidder i's largest bid anywhere in the table.  Budget rows are scaled
-    by the same factor so all consumption lands in [0, 1].  The scale
-    factors are recorded in the instance metadata.
-
-    Raises AllZeroBids if the whole table is zero.  Bidders who never bid
-    keep their budget row unscaled (their options are never worth taking).
-    """
-    bids = np.asarray(bids, dtype=np.float64)
-    budgets = np.asarray(budgets, dtype=np.float64)
-    if bids.ndim != 2:
-        raise ValueError(f"bids must be an n-by-m table, got shape {bids.shape}")
-    n, m = bids.shape
-    if budgets.shape != (m,):
-        raise ValueError(f"budgets has shape {budgets.shape}, expected ({m},)")
-    if not np.all(np.isfinite(bids)) or bids.min() < 0.0:
-        raise ValueError("bids must be finite and nonnegative")
-    if bids.max() <= 0.0:
-        raise AllZeroBids("every bid in the table is zero")
-    scale = bids.max(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    consumption = np.zeros((n, m, m))
-    idx = np.arange(m)
-    consumption[:, idx, idx] = bids / scale
-    return MultiInstance(
-        m=m, n=n, k=m, b=budgets / scale,
-        rewards=bids.copy(), consumption=consumption,
-        meta={
-            "kind": "adwords",
-            "row_scale": [float(v) for v in scale],
-            "budgets_original": [float(v) for v in budgets],
-        },
-    )

@@ -12,6 +12,7 @@ import pytest
 from onlinelp import CycleLimitExceeded, Instance, InternalError, cli, errors, save_instance
 from onlinelp.cli import main
 from onlinelp.generators import GENERATORS
+from test_model import SHORT_COLUMNS
 
 ERROR_CLASSES = [
     cls for cls in vars(errors).values()
@@ -139,6 +140,16 @@ class TestRun:
                      "--eps", "0.2"]) == 0
         assert "objective = " in capsys.readouterr().out
 
+    def test_scalar_algo_on_adwords(self, adwords_file, tmp_path, capsys):
+        def run(algo):
+            dest = tmp_path / f"{algo}.json"
+            assert main(["run", "-i", str(adwords_file), "--algo", algo,
+                         "--eps", "0.2", "--decisions-out", str(dest)]) == 0
+            return json.loads(dest.read_text())
+
+        assert run("dpa") == run("dpa_multi")
+        assert len(run("ola")["choices"]) == 80
+
     def test_shuffle_seed_changes_outcome_deterministically(
             self, routing_file, capsys):
         def objective(seed):
@@ -170,6 +181,14 @@ class TestRun:
                      "--shuffle-seed", "1"]) == 3
         err = capsys.readouterr().err
         assert f"{field} must be" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", SHORT_COLUMNS)
+    def test_short_column_is_data_error(self, tmp_path, capsys, case):
+        bad = tmp_path / "short.json"
+        bad.write_text(SHORT_COLUMNS[case])
+        assert main(["run", "-i", str(bad), "--algo", "dpa", "--eps", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert "schema violation" in err and "Traceback" not in err
 
     def test_degenerate_eps_is_data_error(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.json"
@@ -301,6 +320,11 @@ class TestUsageErrors:
             assert main(["bench", "-i", str(secretary_file), "--trials", "1",
                          "--jobs", jobs]) == 2
             assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_trials_below_one(self, secretary_file, capsys):
+        for trials in ("0", "-1"):
+            assert main(["bench", "-i", str(secretary_file), "--trials", trials]) == 2
+            assert "trials must be >= 1" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -8,6 +8,7 @@ from onlinelp import (
     GenSpec,
     Instance,
     MultiInstance,
+    adwords_to_multi,
     check_input_condition,
     gen_adwords,
     gen_routing,
@@ -20,7 +21,6 @@ from onlinelp import (
     save_instance,
     shuffle,
 )
-from onlinelp.multi import adwords_to_multi
 
 
 class TestRouting:

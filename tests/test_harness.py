@@ -139,12 +139,16 @@ class TestRunTrials:
         multi = run_trials(multi_inst, "greedy_baseline", 0.1, trials=2)
         assert multi.violations == 0
 
-    def test_algo_instance_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            run_trials(routing(), "dpa_multi", 0.1, trials=1)
-        multi_inst = generate(GenSpec(kind="adwords", seed=1, params={"n": 20, "m": 2}))
-        with pytest.raises(ValueError):
-            run_trials(multi_inst, "dpa", 0.1, trials=1)
+    @pytest.mark.parametrize("kind", ["routing", "adwords"])
+    def test_every_algorithm_runs_on_either_kind(self, kind):
+        inst = routing() if kind == "routing" else generate(
+            GenSpec(kind="adwords", seed=1, params={"n": 120, "m": 3}))
+        runs = {algo: harness.dispatch(inst, algo, 0.1) for algo in harness.ALGORITHMS}
+        for res in runs.values():
+            assert res.choices.shape == (inst.n,)
+            assert np.all(res.fill <= inst.b)
+        assert runs["dpa"].choices.tobytes() == runs["dpa_multi"].choices.tobytes()
+        assert runs["dpa"].objective == runs["dpa_multi"].objective
 
     def test_unknown_algo(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Module boundaries: no module reaches into a sibling's private names or
-imports a sibling at call time, one function builds every LP, and the
-schedule is computed in one place.
+imports a sibling at call time, instance generation does not import the
+policy, one function builds every LP, and the schedule is computed in one
+place.
 
-Helpers that several modules share live in ``onlinelp._core``; every other
-``from .<sibling> import _name`` couples a module to another's internals.
+Every ``from .<sibling> import _name``, and every import from a private
+``._module``, couples a module to another's internals.
 """
 
 import ast
@@ -11,25 +12,35 @@ from pathlib import Path
 
 import onlinelp
 
-SHARED = "_core"
+
+def _relative_imports(path: Path) -> list[ast.ImportFrom]:
+    return [
+        node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    ]
 
 
 def _private_imports(path: Path) -> list[str]:
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != SHARED:
-            found += [
-                f"{path.name}: from .{node.module} import {alias.name}"
-                for alias in node.names
-                if alias.name.startswith("_")
-            ]
-    return found
+    return [
+        f"{path.name}: from .{node.module} import {alias.name}"
+        for node in _relative_imports(path)
+        for alias in node.names
+        if node.module.startswith("_") or alias.name.startswith("_")
+    ]
 
 
 def test_no_private_cross_module_imports():
     modules = sorted(Path(onlinelp.__file__).parent.glob("*.py"))
     found = [line for path in modules for line in _private_imports(path)]
     assert found == []
+
+
+def test_generators_import_only_errors_and_model():
+    """Building an instance needs its types and errors, not the policy or the solver."""
+    path = Path(onlinelp.__file__).parent / "generators.py"
+    siblings = {node.module for node in _relative_imports(path)}
+    assert siblings == {"errors", "model"}
 
 
 def test_no_imports_inside_functions():

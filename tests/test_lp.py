@@ -138,6 +138,25 @@ def test_pivot_cap_raises_cycle_limit(monkeypatch):
         solve_boxed_lp(lp)
 
 
+def test_bland_rule_from_the_first_pivot(monkeypatch):
+    """The anti-cycling fallback, reached at once, still finds the optimum."""
+    grouped = [random_grouped_lp(seed) for seed in range(100)]
+    refs = [solve_boxed_lp(BoxedLp(*explicit_groups(c, A, d, k))).objective
+            for c, A, d, k in grouped]
+    monkeypatch.setattr(lp_module, "_DANTZIG_PIVOTS_PER_VARIABLE", 0)
+    for seed in range(60):
+        c, A, d = random_boxed_lp(seed)
+        lp = BoxedLp(c=c, A=A, d=d)
+        sol = solve_boxed_lp(lp)
+        assert sol.objective == pytest.approx(enumerate_boxed_opt(c, A, d), abs=1e-8), seed
+        assert verify_complementary_slackness(lp, sol) == [], seed
+    for seed, ((c, A, d, k), ref) in enumerate(zip(grouped, refs)):
+        lp = BoxedLp(c=c, A=A, d=d, k=k)
+        sol = solve_boxed_lp(lp)
+        assert abs(sol.objective - ref) <= 1e-8 * max(1.0, float(np.abs(c).max())), seed
+        assert verify_complementary_slackness(lp, sol) == [], seed
+
+
 def test_dual_objective_is_the_box_formula_at_k1():
     for seed in range(25):
         c, A, d = random_boxed_lp(seed + 4000)

@@ -126,7 +126,31 @@ class TestRoundTrip:
         assert back.b[0] == np.pi
 
 
+def instance_json(columns, k=None) -> str:
+    """An m = 3 instance file over the given columns (multi-choice when k is given)."""
+    obj = {"m": 3, "n": len(columns), "b": [1.0, 1.0, 1.0], "columns": columns}
+    if k is not None:
+        obj["k"] = k
+    return json.dumps(obj)
+
+
+_G = [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]
+# Columns shorter than m rows or k options, which must not be broadcast.
+SHORT_COLUMNS = {
+    "short a": instance_json([{"pi": 1, "a": [0.5]}] * 2),
+    "scalar a": instance_json([{"pi": 1, "a": 0.25}] * 2),
+    "ragged a": instance_json([{"pi": 1, "a": [0.5, 0.5, 0.5]}, {"pi": 1, "a": [0.5]}]),
+    "scalar f": instance_json([{"f": 1, "G": _G}] * 2, k=2),
+    "one-row G": instance_json([{"f": [1.0, 2.0], "G": _G[:1]}] * 2, k=2),
+}
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("case", SHORT_COLUMNS)
+    def test_short_column_is_not_broadcast(self, case):
+        with pytest.raises(ParseError):
+            instance_from_json(SHORT_COLUMNS[case])
+
     def test_garbage(self):
         with pytest.raises(ParseError):
             instance_from_json("not json at all {")
