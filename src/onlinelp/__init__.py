@@ -53,6 +53,7 @@ from .engine import (
     geometric_schedule,
     h_factor,
     learn_price,
+    multi_allocation_rule,
     run_dpa,
     run_ola,
     sample_lp,
@@ -61,7 +62,6 @@ from .engine import (
 from .multi import (
     flatten_lp,
     learn_price_multi,
-    multi_allocation_rule,
     run_dpa_multi,
 )
 from .generators import (

@@ -165,7 +165,7 @@ def cmd_gen(args) -> int:
     print(f"wrote {args.output}: kind={args.kind} {shape} B={bmin:.6g}")
     print("abar per row: " + " ".join(f"{v:.6g}" for v in options(inst)[1].max(axis=(0, 1))))
     if args.check_eps is not None:
-        _print_conditions(inst, args.check_eps, ("ola", "dpa", "per_row", "corollary"))
+        _print_conditions(inst, args.check_eps, CONDITION_VARIANTS)
     return 0
 
 

@@ -25,7 +25,8 @@ its prefix/offline front end and ``dual_price`` reads the row prices off a
 solution.  All of them read the k-option view of ``options``, in which a
 scalar instance is a multi-choice one with k = 1, so every policy takes
 either instance kind and returns a ``RunResult`` with the option each
-arrival took.
+arrival took.  ``allocation_rule`` and ``multi_allocation_rule`` apply the
+price rule to one ``Column`` or ``MultiColumn``.
 """
 
 from __future__ import annotations
@@ -38,10 +39,11 @@ import numpy as np
 
 from .errors import DegenerateWindow, DimensionMismatch, NonpositiveReward, StreamExhausted
 from .lp import BoxedLp, solve_boxed_lp
-from .model import Column, DualPrice, Instance, MultiInstance, RunResult, onehot
+from .model import Column, DualPrice, Instance, MultiColumn, MultiInstance, RunResult, onehot
 
 __all__ = [
     "allocation_rule",
+    "multi_allocation_rule",
     "h_factor",
     "geometric_schedule",
     "sample_lp",
@@ -261,6 +263,20 @@ def allocation_rule(price: DualPrice, col: Column) -> int:
             f"price has {price.m} rows, column consumption has {col.a.size}"
         )
     return int(price_rule(price.p, [[col.pi]], col.a[None, None, :])[0] >= 0)
+
+
+def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> int | None:
+    """Option with the largest positive priced surplus, or None if there is none.
+
+    Ties on the surplus go to the lowest option index; an option priced
+    exactly at its reward never wins.
+    """
+    if price.m != col.G.shape[0]:
+        raise DimensionMismatch(
+            f"price has {price.m} rows, column consumption has {col.G.shape[0]}"
+        )
+    r = int(price_rule(price.p, [col.f.tolist()], np.ascontiguousarray(col.G.T)[None])[0])
+    return None if r < 0 else r
 
 
 def sample_lp(

@@ -40,8 +40,12 @@ Implementation notes, since the details matter for reproducibility:
 * The basis inverse is maintained explicitly with rank-one pivot updates and
   refactorized from scratch periodically (and once more at termination)
   to keep drift out of the reported solution.
-* Before returning, the solver certifies its answer: every row and group
-  is feasible, and the primal and dual objectives agree.
+* Before returning, the solver certifies its answer: rows and groups are
+  feasible and the duality gap is small.  With rc = c - y'A, group duals
+  u_t = max(0, max_j rc_j) and fill_t the sum of group t's x, the gap
+  d'y + sum_t u_t - c'x = y'(d - Ax) + sum_t u_t (1 - fill_t) +
+  sum_j (u_t - rc_j) x_j is a sum of complementary-slackness (CS) products,
+  each >= 0 when y >= 0 and x is feasible: the gap check is the CS check.
 
 The module depends only on numpy and ``errors``, so ``engine`` can build its
 LPs on ``BoxedLp``.  ``perturb_rewards`` copies either instance kind with
@@ -136,11 +140,6 @@ class BoxedLp:
         return self.A.shape[1]
 
 
-def _group_duals(lp: BoxedLp, rc: np.ndarray) -> np.ndarray:
-    """Each group's dual max(0, max_j rc_j), which the row prices fix."""
-    return np.maximum(rc.reshape(-1, lp.k).max(axis=1), 0.0)
-
-
 @dataclass
 class LpSolution:
     """Optimal point, row prices, per-column status, objective, and pivot count.
@@ -156,8 +155,17 @@ class LpSolution:
 
     def dual_objective(self, lp: BoxedLp) -> float:
         """Value of the dual: d'p plus each group's charge max(0, max_j c_j - p'A_j)."""
-        rc = lp.c - self.dual @ lp.A
-        return float(lp.d @ self.dual + _group_duals(lp, rc).sum())
+        return float(lp.d @ self.dual + _residuals(lp, self)[2].sum())
+
+
+# The one residual computation: the exit check, dual_objective and
+# verify_complementary_slackness all read it, so the certificate the solver
+# checks and the report a caller gets cannot drift apart.
+def _residuals(lp: BoxedLp, sol: LpSolution):
+    """Row slack d - Ax, reduced costs c - p'A, group duals max(0, max_j rc_j), group fill."""
+    rc = lp.c - sol.dual @ lp.A
+    u = np.maximum(rc.reshape(-1, lp.k).max(axis=1), 0.0)
+    return lp.d - lp.A @ sol.x, rc, u, sol.x.reshape(-1, lp.k).sum(axis=1)
 
 
 def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
@@ -364,13 +372,6 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     info = status[:s].copy()
     info[key[keyed]] = np.where(has_members[keyed], BASIC, AT_UPPER)
 
-    worst = float((lp.A @ x - lp.d).max())
-    if worst > _FEAS_TOL * max(1.0, float(np.abs(lp.d).max())):
-        raise InternalError(f"row violation {worst:.3e} after termination")
-    over = float(x.reshape(ell, k).sum(axis=1).max()) - 1.0
-    if over > _FEAS_TOL:
-        raise InternalError(f"group sum exceeds 1 by {over:.3e} after termination")
-
     sol = LpSolution(
         x=x,
         dual=y.copy(),
@@ -378,6 +379,11 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
         objective=float(lp.c @ x),
         pivots=it - 1,
     )
+    slack, _, _, fill = _residuals(lp, sol)
+    if -slack.min() > _FEAS_TOL * max(1.0, float(np.abs(lp.d).max())):
+        raise InternalError(f"row violation {-slack.min():.3e} after termination")
+    if fill.max() - 1.0 > _FEAS_TOL:
+        raise InternalError(f"group sum exceeds 1 by {fill.max() - 1.0:.3e} after termination")
     gap = abs(sol.objective - sol.dual_objective(lp))
     if gap > _GAP_TOL * max(abs(sol.objective), cost_scale):
         raise InternalError(
@@ -401,31 +407,28 @@ def verify_complementary_slackness(lp: BoxedLp, sol: LpSolution) -> list[CsViola
     With group duals u_t = max(0, max_j rc_j) over group t's reduced costs
     rc = c - p'A, three conditions are checked, each scaled by the data
     magnitude: a positive price on a row with positive slack
-    (``price_slack``, indexed by row), a positive u_t on a group that is not
-    full (``reduced_cost_upper``, indexed by group), and a positive x_j whose
-    reduced cost falls short of its group's u_t (``reduced_cost_lower``,
-    indexed by column).  At k = 1 a group is one column and u_t = max(0,
-    rc_j).  An empty report means (x, p) form a certified optimal pair at
-    the relative tolerance ``_GAP_TOL``.
+    (``price_slack``, by row), a positive u_t on a group that is not full
+    (``reduced_cost_upper``, by group), and a positive x_j whose reduced cost
+    falls short of its group's u_t (``reduced_cost_lower``, by column).  An
+    empty report certifies (x, p) at the relative tolerance ``_GAP_TOL``;
+    each amount is a term of the duality gap (module docstring).
     """
     tol_price = _GAP_TOL * max(1.0, float(np.abs(lp.c).max()))
     tol_slack = _GAP_TOL * max(1.0, float(np.abs(lp.d).max()))
 
-    out: list[CsViolation] = []
-    slack = lp.d - lp.A @ sol.x
-    for i in range(lp.num_rows):
-        if sol.dual[i] > tol_price and slack[i] > tol_slack:
-            out.append(CsViolation("price_slack", i, float(sol.dual[i] * slack[i])))
-    rc = lp.c - sol.dual @ lp.A
-    u = _group_duals(lp, rc)
-    fill = sol.x.reshape(-1, lp.k).sum(axis=1)
-    for t in range(u.size):
-        if u[t] > tol_price and fill[t] < 1.0 - _GAP_TOL:
-            out.append(CsViolation("reduced_cost_upper", t, float(u[t] * (1.0 - fill[t]))))
-        for j in range(t * lp.k, (t + 1) * lp.k):
-            if rc[j] < u[t] - tol_price and sol.x[j] > _GAP_TOL:
-                out.append(CsViolation("reduced_cost_lower", j, float((u[t] - rc[j]) * sol.x[j])))
-    return out
+    slack, rc, u, fill = _residuals(lp, sol)
+    out = [CsViolation("price_slack", i, float(sol.dual[i] * slack[i]))
+           for i in np.flatnonzero((sol.dual > tol_price) & (slack > tol_slack)).tolist()]
+    # Row t of the grid is group t: its reduced_cost_upper cell, then its
+    # columns' reduced_cost_lower cells, so the report reads group by group.
+    x, rc = sol.x.reshape(-1, lp.k), rc.reshape(-1, lp.k)
+    t, q = np.nonzero(np.hstack([((u > tol_price) & (fill < 1.0 - _GAP_TOL))[:, None],
+                                 (rc < (u - tol_price)[:, None]) & (x > _GAP_TOL)]))
+    amount = np.hstack([(u * (1.0 - fill))[:, None], (u[:, None] - rc) * x])[t, q]
+    return out + [
+        CsViolation("reduced_cost_lower", g * lp.k + c - 1, a) if c
+        else CsViolation("reduced_cost_upper", g, a)
+        for g, c, a in zip(t.tolist(), q.tolist(), amount.tolist())]
 
 
 def perturb_rewards(

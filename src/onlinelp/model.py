@@ -247,6 +247,12 @@ def _real_list(xs) -> str:
     return "[" + ", ".join(real(v) for v in xs) + "]"
 
 
+def _holds_str_or_bool(x) -> bool:
+    if isinstance(x, list):
+        return any(map(_holds_str_or_bool, x))
+    return isinstance(x, (str, bool))
+
+
 def instance_to_json(inst: Instance | MultiInstance) -> str:
     """Serialize an instance to the interchange JSON format."""
     lines = ["{"]
@@ -300,23 +306,35 @@ def instance_from_json(text: str) -> Instance | MultiInstance:
     if not isinstance(cols, list) or len(cols) != n:
         raise ParseError(f"columns must be a list of length n={n}")
     meta = obj.get("meta")
+    # JSON strings and booleans are not reals, though numpy converts both.
+    # A string or an all-boolean list leaves a non-numeric dtype, but a
+    # boolean among numbers reads as 1.0 or 0.0, so the values are walked
+    # only when the dtype is not int or float (object: integers beyond
+    # int64) or the text holds a boolean literal.
+    literal = "true" in text or "false" in text
+
+    def reals(values, key: str) -> np.ndarray:
+        arr = np.array(values)
+        if (literal or arr.dtype.kind not in "iuf") and _holds_str_or_bool(values):
+            raise ParseError(f"{key} must hold JSON numbers, not strings or booleans")
+        return arr.astype(np.float64, copy=False)
 
     def stacked(key: str) -> np.ndarray:
         # One array per key: a short or scalar entry stays short, and the
         # instance's shape check rejects it instead of broadcasting it.
-        return np.array([col[key] for col in cols], dtype=np.float64)
+        return reals([col[key] for col in cols], key)
 
     try:
         if "k" in obj:
             return MultiInstance(
-                m=m, n=n, k=obj["k"], b=np.asarray(obj["b"], dtype=np.float64),
+                m=m, n=n, k=obj["k"], b=reals(obj["b"], "b"),
                 rewards=stacked("f"), consumption=stacked("G"), meta=meta,
             )
         return Instance(
-            m=m, n=n, b=np.asarray(obj["b"], dtype=np.float64),
+            m=m, n=n, b=reals(obj["b"], "b"),
             rewards=stacked("pi"), consumption=stacked("a"), meta=meta,
         )
-    except (KeyError, TypeError, ValueError, DimensionMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"instance schema violation: {exc}") from exc
 
 

@@ -5,11 +5,15 @@ optimum at a vertex, and every vertex pins each column at a bound except for
 a "free" set F matched by an equally sized set T of tight rows with
 A[T, F] nonsingular.  Sweeping all (F, T) pairs and all bound patterns of
 the pinned columns is exponential, but exact — fine for m <= 3, s <= 6.
+``cs_report_loop`` is the complementary-slackness report written as plain
+loops, the reference for ``verify_complementary_slackness``.
 """
 
 import itertools
 
 import numpy as np
+
+from onlinelp import CsViolation
 
 
 def enumerate_boxed_opt(c, A, d, tol=1e-9) -> float:
@@ -102,3 +106,30 @@ def explicit_groups(c, A, d, k):
     """The same LP as (c, A, d) for k = 1, with one pick-one row per group written out."""
     ell = A.shape[1] // k
     return c, np.vstack([A, np.kron(np.eye(ell), np.ones((1, k)))]), np.concatenate([d, np.ones(ell)])
+
+
+def cs_report_loop(lp, sol, tol=1e-7):
+    """Reference complementary-slackness report, one Python loop per row, group and column.
+
+    The entries, amounts and order ``lp.verify_complementary_slackness``
+    must reproduce: ``price_slack`` by row, then each group's
+    ``reduced_cost_upper`` before its columns' ``reduced_cost_lower``.  The
+    residuals are computed here from the problem data, not by the solver.
+    """
+    tol_price = tol * max(1.0, float(np.abs(lp.c).max()))
+    tol_slack = tol * max(1.0, float(np.abs(lp.d).max()))
+    out = []
+    slack = lp.d - lp.A @ sol.x
+    for i in range(lp.num_rows):
+        if sol.dual[i] > tol_price and slack[i] > tol_slack:
+            out.append(CsViolation("price_slack", i, float(sol.dual[i] * slack[i])))
+    rc = lp.c - sol.dual @ lp.A
+    u = np.maximum(rc.reshape(-1, lp.k).max(axis=1), 0.0)
+    fill = sol.x.reshape(-1, lp.k).sum(axis=1)
+    for t in range(u.size):
+        if u[t] > tol_price and fill[t] < 1.0 - tol:
+            out.append(CsViolation("reduced_cost_upper", t, float(u[t] * (1.0 - fill[t]))))
+        for j in range(t * lp.k, (t + 1) * lp.k):
+            if rc[j] < u[t] - tol_price and sol.x[j] > tol:
+                out.append(CsViolation("reduced_cost_lower", j, float((u[t] - rc[j]) * sol.x[j])))
+    return out

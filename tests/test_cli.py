@@ -12,7 +12,7 @@ import pytest
 from onlinelp import CycleLimitExceeded, Instance, InternalError, cli, errors, save_instance
 from onlinelp.cli import main
 from onlinelp.generators import GENERATORS
-from test_model import SHORT_COLUMNS
+from test_model import NOT_REALS, SHORT_COLUMNS
 
 ERROR_CLASSES = [
     cls for cls in vars(errors).values()
@@ -71,6 +71,10 @@ class TestGen:
         assert code == 0
         for variant in ("ola", "dpa", "per_row", "corollary"):
             assert f"condition {variant}" in out
+        # The same lines, in the same order, as `check` prints.
+        assert main(["check", "-i", str(tmp_path / "r.json"), "--eps", "0.1"]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert [line for line in out.splitlines() if line.startswith("condition")] == checked
 
     def test_unknown_param_for_kind_is_data_error(self, tmp_path, capsys):
         code = main(["gen", "--kind", "secretary", "--n", "50", "--k", "5",
@@ -189,6 +193,14 @@ class TestRun:
         assert main(["run", "-i", str(bad), "--algo", "dpa", "--eps", "0.5"]) == 3
         err = capsys.readouterr().err
         assert "schema violation" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", NOT_REALS)
+    def test_string_or_boolean_is_data_error(self, tmp_path, capsys, case):
+        bad = tmp_path / "not_real.json"
+        bad.write_text(NOT_REALS[case])
+        assert main(["run", "-i", str(bad), "--algo", "dpa", "--eps", "0.5"]) == 3
+        err = capsys.readouterr().err
+        assert "must hold JSON numbers" in err and "Traceback" not in err
 
     def test_degenerate_eps_is_data_error(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.json"

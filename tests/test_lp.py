@@ -1,5 +1,7 @@
 """Solver tests: hand cases, duality, statuses, and the enumeration oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,13 @@ from onlinelp import (
 from onlinelp import lp as lp_module
 from onlinelp.lp import AT_LOWER, AT_UPPER, BASIC
 
-from _oracles import enumerate_boxed_opt, explicit_groups, random_boxed_lp, random_grouped_lp
+from _oracles import (
+    cs_report_loop,
+    enumerate_boxed_opt,
+    explicit_groups,
+    random_boxed_lp,
+    random_grouped_lp,
+)
 
 
 def _lp(c, A, d):
@@ -115,6 +123,63 @@ def test_complementary_slackness_flags_corrupted_solution():
     report = verify_complementary_slackness(lp, sol)
     assert report
     assert all(isinstance(v, CsViolation) for v in report)
+
+
+def _solved_lps():
+    """Solved LPs at k = 1 (100) and in groups of k = 2..4 (300)."""
+    for seed in range(100):
+        lp = BoxedLp(*random_boxed_lp(seed + 5000))
+        yield lp, solve_boxed_lp(lp)
+    for seed in range(300):
+        lp = BoxedLp(*random_grouped_lp(seed))
+        yield lp, solve_boxed_lp(lp)
+
+
+def _perturbed(sol, rng):
+    """The solution with about half its x and half its prices moved at random."""
+    x = sol.x + rng.normal(0.0, 0.3, sol.x.size) * (rng.random(sol.x.size) < 0.5)
+    dual = sol.dual + rng.normal(0.0, 0.5, sol.dual.size) * (rng.random(sol.dual.size) < 0.5)
+    return replace(sol, x=np.clip(x, 0.0, 1.0), dual=np.maximum(dual, 0.0))
+
+
+def test_complementary_slackness_report_matches_loop_oracle():
+    """Entry for entry (kind, index, amount, order) on perturbed solutions."""
+    rng = np.random.default_rng(0)
+    kinds, ks = set(), set()
+    for lp, sol in _solved_lps():
+        for cand in (sol, _perturbed(sol, rng)):
+            report = verify_complementary_slackness(lp, cand)
+            assert report == cs_report_loop(lp, cand), (lp.k, cand)
+            kinds.update(v.kind for v in report)
+        ks.add(lp.k)
+    assert kinds == {"price_slack", "reduced_cost_upper", "reduced_cost_lower"}
+    assert ks >= {1, 2, 3}
+
+
+def _cs_identity_sides(lp, sol):
+    """The gap the solver checks, and the sum of the CS products, from the raw data."""
+    slack = lp.d - lp.A @ sol.x
+    rc = (lp.c - sol.dual @ lp.A).reshape(-1, lp.k)
+    u = np.maximum(rc.max(axis=1), 0.0)
+    x = sol.x.reshape(-1, lp.k)
+    products = (sol.dual @ slack + (u * (1.0 - x.sum(axis=1))).sum()
+                + ((u[:, None] - rc) * x).sum())
+    scale = max(1.0, float(np.abs(lp.d) @ np.abs(sol.dual) + u.sum() + np.abs(lp.c) @ sol.x))
+    return sol.dual_objective(lp) - float(lp.c @ sol.x), products, scale
+
+
+def test_duality_gap_is_the_sum_of_cs_products():
+    """d'y + sum u - c'x = y'slack + sum_t u_t (1 - fill_t) + sum_j (u_t - rc_j) x_j."""
+    rng = np.random.default_rng(1)
+    offline = [flatten_lp(generate(GenSpec("routing", 0, dict(m=5, n=2000, q=0.5, capacity=200.0)))),
+               flatten_lp(generate(GenSpec("adwords", 0, dict(n=800, m=3))))]
+    cases = list(_solved_lps()) + [(lp, solve_boxed_lp(lp)) for lp in offline]
+    for lp, sol in cases:
+        for cand in (sol, _perturbed(sol, rng)):
+            gap, products, scale = _cs_identity_sides(lp, cand)
+            assert abs(gap - products) <= 1e-12 * scale, (lp.k, gap, products)
+            if cand is sol:
+                assert abs(gap) <= 1e-7 * max(1.0, float(np.abs(lp.c).max()), abs(sol.objective))
 
 
 def test_dimension_mismatch():

@@ -144,12 +144,41 @@ SHORT_COLUMNS = {
     "one-row G": instance_json([{"f": [1.0, 2.0], "G": _G[:1]}] * 2, k=2),
 }
 
+# JSON strings and booleans where the format has reals, which numpy would
+# convert: a string, an all-boolean array, and a boolean among numbers.
+NOT_REALS = {
+    "string pi": instance_json([{"pi": "1.5", "a": [0.5, 0.5, 0.5]}] * 2),
+    "string b": json.dumps({"m": 1, "n": 1, "b": ["1"], "columns": [{"pi": 1, "a": [0.5]}]}),
+    "all-boolean a": instance_json([{"pi": 1, "a": [True, False, True]}] * 2),
+    "boolean among numbers in a": instance_json([{"pi": 1, "a": [0.5, True, 0.25]}] * 2),
+    "string in f": instance_json([{"f": [1.0, "2"], "G": _G}] * 2, k=2),
+    "boolean among numbers in G": instance_json([{"f": [1.0, 2.0], "G": [[0.1, False]] + _G[1:]}] * 2, k=2),
+}
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("case", SHORT_COLUMNS)
     def test_short_column_is_not_broadcast(self, case):
         with pytest.raises(ParseError):
             instance_from_json(SHORT_COLUMNS[case])
+
+    @pytest.mark.parametrize("case", NOT_REALS)
+    def test_string_or_boolean_is_not_a_real(self, case):
+        with pytest.raises(ParseError, match="must hold JSON numbers"):
+            instance_from_json(NOT_REALS[case])
+
+    def test_numbers_load_unchanged_beside_a_boolean_literal(self):
+        """A literal elsewhere in the file, or an integer beyond int64, is no error."""
+        obj = {"m": 1, "n": 2, "b": [3], "columns": [{"pi": 2 ** 70, "a": [1]}, {"pi": 0.5, "a": [0]}],
+               "meta": {"flag": True}}
+        inst = instance_from_json(json.dumps(obj))
+        assert inst.b.tolist() == [3.0] and inst.rewards.tolist() == [2.0 ** 70, 0.5]
+        assert inst.consumption.tolist() == [[1.0], [0.0]] and inst.meta == {"flag": True}
+
+    def test_integer_beyond_float_range(self):
+        obj = {"m": 1, "n": 1, "b": [1], "columns": [{"pi": 10 ** 400, "a": [1]}]}
+        with pytest.raises(ParseError, match="schema violation"):
+            instance_from_json(json.dumps(obj))
 
     def test_garbage(self):
         with pytest.raises(ParseError):
