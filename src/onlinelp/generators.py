@@ -62,7 +62,7 @@ def gen_routing(
     _require(m >= 1 and n >= 1, f"need m >= 1 and n >= 1, got m={m}, n={n}")
     _require(0.0 < q <= 1.0, f"q must be in (0, 1], got {q}")
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
-    _require(0.0 <= reward_lo <= reward_hi, "need 0 <= reward_lo <= reward_hi")
+    _require(0.0 <= reward_lo <= reward_hi < math.inf, "need 0 <= reward_lo <= reward_hi < inf")
     rng = np.random.default_rng(seed)
     paths = (rng.random((n, m)) < q).astype(np.float64)
     while True:
@@ -100,7 +100,8 @@ def gen_secretary(
     _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     if reward_dist == "uniform":
-        _require(0.0 <= reward_lo <= reward_hi, "need 0 <= reward_lo <= reward_hi")
+        _require(0.0 <= reward_lo <= reward_hi < math.inf,
+                 "need 0 <= reward_lo <= reward_hi < inf")
         rewards = rng.uniform(reward_lo, reward_hi, n)
     elif reward_dist == "heavy_tail":
         _require(sigma > 0.0, f"sigma must be positive, got {sigma}")
@@ -142,7 +143,7 @@ def gen_adwords(
     a runnable instance.
     """
     _require(n >= 1 and m >= 1, f"need n >= 1 and m >= 1, got n={n}, m={m}")
-    _require(0.0 <= bid_lo <= bid_hi, "need 0 <= bid_lo <= bid_hi")
+    _require(0.0 <= bid_lo <= bid_hi < math.inf, "need 0 <= bid_lo <= bid_hi < inf")
     _require(0.0 < condition_eps < 1.0, f"condition_eps must be in (0, 1), got {condition_eps}")
     rng = np.random.default_rng(seed)
     bids = rng.uniform(bid_lo, bid_hi, (n, m))
@@ -223,7 +224,7 @@ def gen_yield(
     _require(rate * horizon >= 1.0, f"rate*horizon must be >= 1, got {rate * horizon}")
     _require(n_products >= 1 and n_resources >= 1, "need at least one product and resource")
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
-    _require(0.0 <= price_lo <= price_hi, "need 0 <= price_lo <= price_hi")
+    _require(0.0 <= price_lo <= price_hi < math.inf, "need 0 <= price_lo <= price_hi < inf")
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(rate * horizon))
     while n < 1:

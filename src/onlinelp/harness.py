@@ -194,7 +194,7 @@ def lemma_kkt_oracle(
 
 
 def lemma_sample_opt_oracle(
-    inst: Instance, eps: float, trials: int, base_seed: int = 0
+    inst: Instance | MultiInstance, eps: float, trials: int, base_seed: int = 0
 ) -> tuple[float, float]:
     """Mean prefix-LP value over shuffles versus the eps * OPT ceiling.
 

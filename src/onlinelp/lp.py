@@ -18,7 +18,8 @@ Implementation notes, since the details matter for reproducibility:
 * The group rows are never written out: they are generalized upper bounds
   (GUB; Dantzig & Van Slyke, J. Comput. Syst. Sci. 1, 1967).  Each group
   keeps one basic "key": its slack whenever the slack is basic, otherwise
-  one of its options.  The other m basic variables (options or row slacks)
+  one of its options, which is BASIC like any other (the ``key`` array
+  says which).  The other m basic variables (options or row slacks)
   form the working basis, in which an option v has the column
   a_v - a_key, so the solver carries an m-by-m inverse however many groups
   there are.  The row prices are y = c_W B^-1, and group t's dual is
@@ -29,14 +30,15 @@ Implementation notes, since the details matter for reproducibility:
   bound flip, and a slack key leaving is a basic x reaching 1.  So the
   scalar LP takes the classic bounded-simplex pivots with the same
   arithmetic.
-* Variables are ordered: each group's options, then its slack; the row
-  slacks last.  Pricing starts with Dantzig's rule (most violating reduced
-  cost, earliest variable on ties) and switches to Bland's rule after
-  ``_DANTZIG_PIVOTS_PER_VARIABLE * (m + s)`` iterations so termination is
-  guaranteed.  In the ratio test the entering variable's own key wins a
-  tie (the bound flip), then the earliest variable; this pins down which
-  of the degenerate dual solutions is reported, and identical inputs take
-  identical pivot paths.
+* Ties follow one order, the ``rank`` table built once per solve: each
+  group's options, then its slack; the row slacks last.  Pricing starts
+  with Dantzig's rule (most violating reduced cost, earliest in ``rank`` on
+  ties) and switches to Bland's rule (earliest in ``rank`` of the improving
+  variables) after ``_DANTZIG_PIVOTS_PER_VARIABLE * (m + s)`` iterations so
+  termination is guaranteed.  In the ratio test the entering variable's
+  own key wins a tie (the bound flip), then the earliest in ``rank``; this
+  pins down which of the degenerate dual solutions is reported, and
+  identical inputs take identical pivot paths.
 * The basis inverse is maintained explicitly with rank-one pivot updates and
   refactorized from scratch periodically (and once more at termination)
   to keep drift out of the reported solution.
@@ -81,7 +83,6 @@ __all__ = [
 AT_LOWER = np.int8(0)
 BASIC = np.int8(1)
 AT_UPPER = np.int8(2)
-_KEY = np.int8(3)    # solver state only: the option is its group's key
 
 _FEAS_TOL = 1e-7     # row-violation slop, scaled by max(1, ||d||_inf)
 _GAP_TOL = 1e-7      # relative duality-gap tolerance
@@ -208,19 +209,16 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     tol_rc = 1e-9 * cost_scale
     piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(A).max()))
 
-    def rank(v: int) -> int:
-        """Place of variable v in the order: each group's options then its slack, row slacks last."""
-        if v < s:
-            return v + v // k
-        return v + ell if v < nvar else (v - nvar + 1) * (k + 1) - 1
-
-    def groups(v):
-        """The group of each variable in v, -1 for a row slack."""
-        return np.where(v < s, v // k, -1)
+    # The tie order, built once: rank[v] is variable v's place (each group's
+    # options, then its slack nvar + t; the row slacks last), and
+    # group_of[v] is option v's group, -1 for a row slack.
+    order = np.hstack([np.arange(s).reshape(ell, k), np.arange(nvar, nvar + ell)[:, None]])
+    rank = np.argsort(np.concatenate([order.ravel(), np.arange(s, nvar)])).tolist()
+    group_of = np.concatenate([np.arange(s) // k, np.full(m, -1)])
 
     def refactor():
         """Working basis inverse, basic values and column costs, freshly computed."""
-        keyed = key[groups(basis)]
+        keyed = key[group_of[basis]]
         keyed[basis >= s] = -1
         B, cost = A[:, basis], c[basis]
         rows = np.flatnonzero(keyed >= 0)
@@ -231,8 +229,8 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
             inv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
             raise InternalError("basis matrix became singular") from exc
-        up = status == _KEY
-        rhs = lp.d - A[:, up] @ np.ones(int(up.sum())) if up.any() else lp.d.copy()
+        keys = key[key >= 0]  # each at 1, in column order
+        rhs = lp.d - A[:, keys] @ np.ones(keys.size) if keys.size else lp.d.copy()
         return inv, inv @ rhs, cost
 
     it = 0
@@ -259,14 +257,14 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
             t = int(np.argmin(u))
             if score[j] <= tol_rc and -u[t] <= tol_rc:
                 break
-            if -u[t] > score[j] or (-u[t] == score[j] and rank(nvar + t) < rank(j)):
+            if -u[t] > score[j] or (-u[t] == score[j] and rank[nvar + t] < rank[j]):
                 j = nvar + t
         else:
             firsts = [int(np.flatnonzero(e)[0]) + off for e, off in (
                 ((status == AT_LOWER) & (rc > tol_rc), 0), (u < -tol_rc, nvar)) if e.any()]
             if not firsts:
                 break
-            j = min(firsts, key=rank)
+            j = min(firsts, key=rank.__getitem__)
 
         # The entering variable rises from 0.  A group slack pushes its key
         # option down, so the working basis sees that option's column negated.
@@ -285,21 +283,20 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
         # the step touches (a working variable's or the entering one's): the
         # key is 1 minus its group's working members.
         xs, ds = xb.tolist(), step_dir.tolist()
-        row_group = groups(basis).tolist()
+        row_group = group_of[basis].tolist()
         falling = {gj: [1.0, 1.0]} if gj >= 0 else {}  # group: [key value, rate of fall]
         for r, g in enumerate(row_group):
             if g >= 0:
                 fall = falling.setdefault(g, [1.0, 0.0])
                 fall[0] -= xs[r]
                 fall[1] -= ds[r]
-        # Candidates (t, place in the order, row, group): the smallest t
-        # leaves, and on a tie the entering variable's own key, then the
-        # earliest variable.  Degeneracy can leave tiny negative ratios,
-        # read as 0.
-        leaving = [(max(0.0, xs[r] / ds[r]), rank(int(basis[r])), r, -1)
+        # Candidates (t, rank, row, group): the smallest t leaves, and on a
+        # tie the entering variable's own key, then the earliest in rank.
+        # Degeneracy can leave tiny negative ratios, read as 0.
+        leaving = [(max(0.0, xs[r] / ds[r]), rank[basis[r]], r, -1)
                    for r in range(m) if ds[r] > piv_tol]
         leaving += [(max(0.0, val / rate),
-                     -1 if g == gj else rank(int(key[g]) if key[g] >= 0 else nvar + g), -1, g)
+                     -1 if g == gj else rank[key[g] if key[g] >= 0 else nvar + g], -1, g)
                     for g, (val, rate) in falling.items() if rate > piv_tol]
         if not leaving:
             raise InternalError("unbounded improving direction")
@@ -312,7 +309,7 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
                 status[kj] = AT_LOWER
             key[gj] = j if j < nvar else -1
             if j < nvar:
-                status[j] = _KEY
+                status[j] = BASIC
             if gj in row_group:
                 binv, xb, cw = refactor()
             continue
@@ -328,7 +325,6 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
             if key[g] >= 0:
                 status[key[g]] = AT_LOWER
             key[g] = basis[r]
-            status[basis[r]] = _KEY
             rewrite = len(rows) > 1
         if j >= nvar:
             # The group slack becomes key; its old key option takes row r.
@@ -360,7 +356,7 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     binv, xb, cw = refactor()
     y = cw @ binv
 
-    grp = groups(basis)
+    grp = group_of[basis]
     opt_rows = grp >= 0
     filled = np.bincount(grp[opt_rows], weights=xb[opt_rows], minlength=ell)
     has_members = np.bincount(grp[opt_rows], minlength=ell) > 0

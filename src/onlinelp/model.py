@@ -290,7 +290,10 @@ def instance_from_json(text: str) -> Instance | MultiInstance:
     """
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a syntax error (JSONDecodeError) or an integer literal
+        # over the int-conversion digit limit; RecursionError: nesting deeper
+        # than the interpreter's recursion limit.
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")

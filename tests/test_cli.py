@@ -12,7 +12,7 @@ import pytest
 from onlinelp import CycleLimitExceeded, Instance, InternalError, cli, errors, save_instance
 from onlinelp.cli import main
 from onlinelp.generators import GENERATORS
-from test_model import NOT_REALS, SHORT_COLUMNS
+from test_model import BEYOND_PARSER, NOT_REALS, SHORT_COLUMNS
 
 ERROR_CLASSES = [
     cls for cls in vars(errors).values()
@@ -81,6 +81,13 @@ class TestGen:
                      "--q", "0.5", "-o", str(tmp_path / "x.json")])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    def test_infinite_reward_bound_is_data_error(self, tmp_path, capsys):
+        code = main(["gen", "--kind", "routing", "--m", "2", "--n", "5", "--q", "0.5",
+                     "--capacity", "1", "--reward-hi", "inf", "-o", str(tmp_path / "x.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "reward_hi < inf" in err and "Traceback" not in err
 
     def test_missing_required_param_is_data_error(self, tmp_path):
         code = main(["gen", "--kind", "routing", "--m", "3",
@@ -201,6 +208,15 @@ class TestRun:
         assert main(["run", "-i", str(bad), "--algo", "dpa", "--eps", "0.5"]) == 3
         err = capsys.readouterr().err
         assert "must hold JSON numbers" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [["run", "--algo", "dpa"], ["check"]], ids=["run", "check"])
+    @pytest.mark.parametrize("case", BEYOND_PARSER)
+    def test_text_beyond_the_parser_limits_is_data_error(self, tmp_path, capsys, case, command):
+        bad = tmp_path / "beyond.json"
+        bad.write_text(BEYOND_PARSER[case])
+        assert main([*command, "-i", str(bad), "--eps", "0.1"]) == 3
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err and "Traceback" not in err
 
     def test_degenerate_eps_is_data_error(self, tmp_path, capsys):
         tiny = tmp_path / "tiny.json"

@@ -83,6 +83,18 @@ class TestHFactor:
             h_factor(101, 100, 0.1)
 
 
+@pytest.mark.parametrize("make, exc, match", [
+    (lambda: step(OnlineState.start(2, 10, np.ones(2), 0.2), Column(pi=1.0, a=np.ones(1))),
+     DimensionMismatch, "column has 1 rows, state has 2"),
+    (lambda: OnlineState.start(2, 10, np.ones(3), 0.2), DimensionMismatch, "b has shape"),
+    (lambda: h_factor(10, 100, 0.0), ValueError, "eps must be in"),
+    (lambda: h_factor(10, 100, 1.0), ValueError, "eps must be in"),
+], ids=["step column size", "start b shape", "h_factor eps 0", "h_factor eps 1"])
+def test_rejected_input(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
+
+
 class TestAllocationRule:
     def test_strict_threshold(self):
         price = DualPrice(p=np.array([2.0]))

@@ -21,6 +21,7 @@ from onlinelp import (
     save_instance,
     shuffle,
 )
+from onlinelp.generators import GENERATORS
 
 
 class TestRouting:
@@ -146,6 +147,34 @@ class TestYield:
             gen_yield(horizon=0.0, rate=10.0)
         with pytest.raises(BadSpec):
             gen_yield(horizon=10.0, rate=-1.0)
+
+
+# Each family's uniform bounds, as (kind, required parameters, upper bound);
+# the lower bound is its "_lo" twin.
+UNIFORM_BOUNDS = [
+    ("routing", dict(m=2, n=5, q=0.5, capacity=1.0), "reward_hi"),
+    ("secretary", dict(n=5, k=2), "reward_hi"),
+    ("adwords", dict(n=5, m=2), "bid_hi"),
+    ("yield", dict(horizon=5.0, rate=2.0), "price_hi"),
+]
+
+
+@pytest.mark.parametrize("kind, params, hi", UNIFORM_BOUNDS, ids=[b[0] for b in UNIFORM_BOUNDS])
+@pytest.mark.parametrize("both", [False, True], ids=["hi", "lo and hi"])
+def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
+    bounds = {hi: math.inf, hi.replace("_hi", "_lo"): math.inf} if both else {hi: math.inf}
+    with pytest.raises(BadSpec, match="< inf"):
+        GENERATORS[kind](**params, **bounds)
+
+
+@pytest.mark.parametrize("make, exc, match", [
+    (lambda: gen_adwords(n=5, m=2, budget_rule="other"), BadSpec, "unknown budget_rule"),
+    (lambda: adwords_to_multi(np.ones(3), np.ones(3)), ValueError, "n-by-m table"),
+    (lambda: adwords_to_multi([[-0.5, 1.0]], np.ones(2)), ValueError, "finite and nonnegative"),
+], ids=["unknown budget_rule", "1-D bid table", "negative bid"])
+def test_rejected_input(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
 
 
 class TestShuffle:

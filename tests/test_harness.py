@@ -216,6 +216,8 @@ class TestLemmaSampleOpt:
         for eps in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="eps must be in"):
                 lemma_sample_opt_oracle(inst, eps, trials=1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            lemma_sample_opt_oracle(inst, 0.1, trials=0)
 
 
 class TestColumnSampling:

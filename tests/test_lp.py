@@ -196,6 +196,19 @@ def test_invalid_data_rejected():
         BoxedLp(c=np.array([np.nan]), A=np.ones((1, 1)), d=np.ones(1))
 
 
+@pytest.mark.parametrize("make, exc, match", [
+    (lambda: BoxedLp(c=np.ones(2), A=np.ones(2), d=np.ones(1)), DimensionMismatch, "A must be a matrix"),
+    (lambda: BoxedLp(c=np.zeros(0), A=np.zeros((1, 0)), d=np.ones(1)), DimensionMismatch,
+     "at least one row and one column"),
+    (lambda: perturb_rewards(Instance(m=1, n=1, b=np.ones(1), rewards=np.ones(1),
+                                      consumption=np.ones((1, 1))), eta=-1e-9),
+     ValueError, "eta must be nonnegative"),
+], ids=["one-dimensional A", "empty A", "negative eta"])
+def test_rejected_input(make, exc, match):
+    with pytest.raises(exc, match=match):
+        make()
+
+
 def test_pivot_cap_raises_cycle_limit(monkeypatch):
     monkeypatch.setattr(lp_module, "_PIVOTS_PER_VARIABLE", 0)  # no iteration allowed
     lp = _lp([4.0, 3.0, 2.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.5])

@@ -5,6 +5,7 @@ import pytest
 
 from onlinelp import (
     Column,
+    DimensionMismatch,
     DualPrice,
     Instance,
     MultiColumn,
@@ -81,6 +82,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             DualPrice(p=np.array([-0.01]))
 
+    @pytest.mark.parametrize("make, exc, match", [
+        (lambda: Instance(m=1, n=1, b=np.ones((1, 1)), rewards=np.ones(1),
+                          consumption=np.ones((1, 1))), DimensionMismatch, "b must be one-dimensional"),
+        (lambda: Instance(m=1, n=1, b=np.array([np.inf]), rewards=np.ones(1),
+                          consumption=np.ones((1, 1))), ValueError, "b contains non-finite"),
+        (lambda: Column(pi=1.0, a=np.ones((1, 1))), DimensionMismatch, "a must be one-dimensional"),
+    ], ids=["2-D b", "non-finite b", "2-D Column.a"])
+    def test_rejected_input(self, make, exc, match):
+        with pytest.raises(exc, match=match):
+            make()
+
     def test_multi_column_shape(self):
         with pytest.raises(Exception):
             MultiColumn(f=np.array([1.0, 2.0]), G=np.array([[0.5]]))
@@ -155,6 +167,16 @@ NOT_REALS = {
     "boolean among numbers in G": instance_json([{"f": [1.0, 2.0], "G": [[0.1, False]] + _G[1:]}] * 2, k=2),
 }
 
+# Texts beyond the JSON parser's limits, which json.loads rejects with a
+# RecursionError (nesting deeper than the recursion limit) and the
+# int-conversion ValueError (an integer literal over 4300 digits), not with
+# a JSONDecodeError.
+BEYOND_PARSER = {
+    "deep nesting": "[" * 100000 + "]" * 100000,
+    "long integer": instance_json([{"pi": 1, "a": [0.5, 0.5, 0.5]}]).replace(
+        '"pi": 1', '"pi": ' + "1" * 5000),
+}
+
 
 class TestParseErrors:
     @pytest.mark.parametrize("case", SHORT_COLUMNS)
@@ -179,6 +201,11 @@ class TestParseErrors:
         obj = {"m": 1, "n": 1, "b": [1], "columns": [{"pi": 10 ** 400, "a": [1]}]}
         with pytest.raises(ParseError, match="schema violation"):
             instance_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("case", BEYOND_PARSER)
+    def test_beyond_the_parser_limits(self, case):
+        with pytest.raises(ParseError):
+            instance_from_json(BEYOND_PARSER[case])
 
     def test_garbage(self):
         with pytest.raises(ParseError):
