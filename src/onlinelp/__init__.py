@@ -5,11 +5,13 @@ order against fixed row capacities.  The engine learns dual prices from an
 early prefix LP — once (``run_ola``) or at geometrically spaced checkpoints
 (``run_dpa``) — and accepts a column exactly when its reward strictly beats
 the priced consumption and the column still fits.  Ships with a
-bounded-variable simplex solver that keeps each arrival's "pick at most one"
+bounded dual simplex solver that keeps each arrival's "pick at most one"
 constraint implicit (generalized upper bounds, Dantzig & Van Slyke 1967), so
-it works on an m-by-m basis; a multi-choice extension (one of k options per
-arrival, adwords-style budgeted allocation); instance generators; and a
-benchmark harness for empirical competitive ratios.
+it works on an m-by-m basis, and passes many bound flips per iteration (a
+long-step ratio test), so its iterations grow with m; a multi-choice
+extension (one of k options per arrival, adwords-style budgeted
+allocation); instance generators; and a benchmark harness for empirical
+competitive ratios.
 """
 
 from .errors import (
@@ -40,6 +42,7 @@ from .lp import (
     BoxedLp,
     CsViolation,
     LpSolution,
+    SolveStats,
     perturb_rewards,
     perturb_rewards_multi,
     solve_boxed_lp,
@@ -104,6 +107,7 @@ __all__ = [
     "Instance",
     "InternalError",
     "LpSolution",
+    "SolveStats",
     "MultiColumn",
     "MultiInstance",
     "NonpositiveReward",

@@ -1,4 +1,4 @@
-"""Bounded primal simplex for packing LPs with pick-one groups.
+"""Bounded dual simplex for packing LPs with pick-one groups.
 
 Solves
 
@@ -11,43 +11,71 @@ with ``A`` an (m, s) matrix whose s columns form consecutive groups of
 multipliers) taken from the final basis.  At k = 1 a group is the box
 0 <= x_j <= 1.  Columns of ``A`` may hold arbitrary finite reals; the
 intended regime is nonnegative data where ``x = 0`` is feasible, and the
-solver requires ``d >= 0`` so the slack basis is a valid start.
+solver requires ``d >= 0``.
 
 Implementation notes, since the details matter for reproducibility:
 
+* The dual is m-dimensional: minimize d'y + sum_t max(0, max_j (c_j -
+  y'a_j)) over y >= 0, one term per group.  The solver is a dual simplex:
+  every basis it visits is dual feasible, and each iteration repairs one
+  primal infeasibility, so the iteration count grows with m rather than
+  with the number of columns.
 * The group rows are never written out: they are generalized upper bounds
   (GUB; Dantzig & Van Slyke, J. Comput. Syst. Sci. 1, 1967).  Each group
-  keeps one basic "key": its slack whenever the slack is basic, otherwise
-  one of its options, which is BASIC like any other (the ``key`` array
-  says which).  The other m basic variables (options or row slacks)
-  form the working basis, in which an option v has the column
-  a_v - a_key, so the solver carries an m-by-m inverse however many groups
-  there are.  The row prices are y = c_W B^-1, and group t's dual is
-  u_t = c_key - y'a_key.
-* A key leaving while its group has working members rewrites those
-  members' columns, and the basis is refactorized at that point.  At k = 1
-  this never happens: an option replacing its group's key is the classic
-  bound flip, and a slack key leaving is a basic x reaching 1.  So the
-  scalar LP takes the classic bounded-simplex pivots with the same
-  arithmetic.
-* Ties follow one order, the ``rank`` table built once per solve: each
-  group's options, then its slack; the row slacks last.  Pricing starts
-  with Dantzig's rule (most violating reduced cost, earliest in ``rank`` on
-  ties) and switches to Bland's rule (earliest in ``rank`` of the improving
-  variables) after ``_DANTZIG_PIVOTS_PER_VARIABLE * (m + s)`` iterations so
-  termination is guaranteed.  In the ratio test the entering variable's
-  own key wins a tie (the bound flip), then the earliest in ``rank``; this
-  pins down which of the degenerate dual solutions is reported, and
-  identical inputs take identical pivot paths.
+  keeps one basic "key", one of its options or its slack.  The other m
+  basic variables (options, group slacks or row slacks) form the working
+  basis, in which a grouped variable v has the column a_v - a_key (a
+  group slack's own column is zero), so the solver carries an m-by-m
+  inverse however many groups there are.  The row prices are
+  y = c_W B^-1, and group t's dual is u_t = c_key - y'a_key.
+* Start: y = 0, each group's key its best positive option (the earliest
+  on ties) or, if no option pays, its slack, and the row slacks as the
+  working basis.  Every reduced cost is then <= 0, so the start is dual
+  feasible.
+* Leaving: among the infeasible basic variables (a working one below 0,
+  or a key whose group's working members sum past 1), the one with the
+  largest x^2 / |its row of B^-1|^2 (dual steepest edge), the earliest on
+  ties.  A key that leaves first trades places with a working member of
+  its group, which changes one row of the inverse.
+* Long step (the bound-flipping ratio test; Maros, EJOR 2003; Koberstein,
+  PhD thesis 2005): along the leaving row's dual ray the objective is
+  convex and piecewise linear.  Each group contributes the upper envelope
+  of its lines, one per nonbasic option or slack; one sort orders the
+  breakpoints, one cumulative sum gives the slope after each, and the
+  step passes every breakpoint while the slope stays negative.  Passing a
+  breakpoint changes the group's key, which at k = 1 is a bound flip of
+  the option between 0 and 1.  A row slack, or a variable whose group has
+  a working member, cannot be passed: its first breakpoint ends the step.
+  The breakpoint where the step ends enters the working basis.  Reduced
+  costs within ``_DUAL_TOL`` of zero count as zero, so that rounding does
+  not order the ties of a degenerate LP.
+* Ties follow one order, the variables' numbering: each group's options,
+  then its slack; the row slacks last.  It breaks ties in the start's
+  keys, in the leaving choice and among breakpoints at one crossing point
+  (after the rule that blocked breakpoints come last and, within a group,
+  the steeper line first).  Since y starts at 0 and each long step stops
+  at the first breakpoint where the slope reaches 0, prices rise only as
+  far as feasibility forces: at m = 1 the solver returns the smallest
+  optimal price (unit columns paying 4, 3, 2, 1 under capacity 1 are
+  priced at 3, the reward of the best column left out, although any price
+  in [3, 4] is optimal).
+* Anti-cycling: after ``_DEGENERATE_ITERATIONS`` iterations in a row whose
+  dual step is zero, the solver switches for good to the rank rule: the
+  earliest infeasible variable leaves, the earliest among the smallest
+  ratios enters, and no breakpoint is passed.  That is Bland's rule
+  applied to the dual, which cannot cycle.
 * The basis inverse is maintained explicitly with rank-one pivot updates and
   refactorized from scratch periodically (and once more at termination)
   to keep drift out of the reported solution.
 * Before returning, the solver certifies its answer: rows and groups are
-  feasible and the duality gap is small.  With rc = c - y'A, group duals
+  feasible and the duality gap is small, a non-finite gap or residual
+  counting as a failure.  With rc = c - y'A, group duals
   u_t = max(0, max_j rc_j) and fill_t the sum of group t's x, the gap
   d'y + sum_t u_t - c'x = y'(d - Ax) + sum_t u_t (1 - fill_t) +
   sum_j (u_t - rc_j) x_j is a sum of complementary-slackness (CS) products,
   each >= 0 when y >= 0 and x is feasible: the gap check is the CS check.
+  ``LpSolution.stats`` reports the iterations, flips, refactorizations,
+  largest primal residual and gap, and every solver error carries them.
 
 The module depends only on numpy and ``errors``, so ``engine`` can build its
 LPs on ``BoxedLp``.  ``perturb_rewards`` copies either instance kind with
@@ -72,6 +100,7 @@ __all__ = [
     "AT_UPPER",
     "BoxedLp",
     "LpSolution",
+    "SolveStats",
     "CsViolation",
     "solve_boxed_lp",
     "verify_complementary_slackness",
@@ -86,10 +115,12 @@ AT_UPPER = np.int8(2)
 
 _FEAS_TOL = 1e-7     # row-violation slop, scaled by max(1, ||d||_inf)
 _GAP_TOL = 1e-7      # relative duality-gap tolerance
+_PRIMAL_TOL = 1e-9   # basic values below -this leave (a row slack's scaled by max(1, ||d||_inf))
+_DUAL_TOL = 1e-12    # reduced costs within this of 0 (scaled by max(1, max |c|)) count as 0
 _PIVOT_TOL = 1e-11   # entries smaller than this (scaled) are treated as zero
 _REFACTOR_EVERY = 200
-_PIVOTS_PER_VARIABLE = 50  # iteration cap: this many per variable, m + s in all
-_DANTZIG_PIVOTS_PER_VARIABLE = 10  # then Bland's rule, which cannot cycle
+_ITERATIONS_PER_VARIABLE = 50  # iteration cap: this many per variable, m + s in all
+_DEGENERATE_ITERATIONS = 50    # zero dual steps in a row; then the rank rule, which cannot cycle
 
 
 @dataclass(frozen=True)
@@ -98,7 +129,8 @@ class BoxedLp:
     consecutive group of ``k`` columns summing to at most 1.
 
     ``A`` and ``d`` hold only the resource rows; at k = 1 every column is
-    boxed in [0, 1].
+    boxed in [0, 1].  Data whose objective or row activity can overflow
+    (``sum |c|`` or a row's ``sum |A|`` is not finite) is rejected.
     """
 
     c: np.ndarray
@@ -125,6 +157,9 @@ class BoxedLp:
         for name, arr in (("c", c), ("A", A), ("d", d)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+        with np.errstate(over="ignore"):
+            if not (np.isfinite(np.abs(c).sum()) and np.isfinite(np.abs(A).sum(axis=1)).all()):
+                raise ValueError("c or a row of A overflows when summed; rescale the data")
         if d.min() < 0.0:
             raise ValueError("capacities d must be nonnegative")
         object.__setattr__(self, "c", c)
@@ -141,9 +176,32 @@ class BoxedLp:
         return self.A.shape[1]
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """What one solve did.
+
+    ``iterations`` counts basis exchanges, one per iteration, and ``flips``
+    the bound flips passed in long steps.  ``max_residual`` is the returned
+    x's largest row violation or group excess (0 when feasible) and ``gap``
+    the absolute duality gap; both are NaN in the message of an error
+    raised before the solve reached its certificate.
+    """
+
+    iterations: int = 0
+    flips: int = 0
+    refactorizations: int = 0
+    max_residual: float = 0.0
+    gap: float = 0.0
+
+    def __str__(self) -> str:
+        return (f"{self.iterations} iterations, {self.flips} flips, "
+                f"{self.refactorizations} refactorizations, "
+                f"residual {self.max_residual:.3e}, gap {self.gap:.3e}")
+
+
 @dataclass
 class LpSolution:
-    """Optimal point, row prices, per-column status, objective, and pivot count.
+    """Optimal point, row prices, per-column status, objective, and solve stats.
 
     ``pivots`` counts the bound flips and basis exchanges the solve took.
     """
@@ -152,7 +210,11 @@ class LpSolution:
     dual: np.ndarray
     reduced_info: np.ndarray
     objective: float
-    pivots: int = 0
+    stats: SolveStats = SolveStats()
+
+    @property
+    def pivots(self) -> int:
+        return self.stats.iterations + self.stats.flips
 
     def dual_objective(self, lp: BoxedLp) -> float:
         """Value of the dual: d'p plus each group's charge max(0, max_j c_j - p'A_j)."""
@@ -178,214 +240,332 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     Returns:
         LpSolution with primal x >= 0 whose groups sum to at most 1, the m
         row prices (nonnegative within tolerance), per-column status, the
-        objective and the pivot count.  A column is AT_UPPER when it holds
+        objective and the solve stats.  A column is AT_UPPER when it holds
         its whole group (x = 1).
 
     Raises:
         CycleLimitExceeded: if no optimum is reached within
-            ``_PIVOTS_PER_VARIABLE * (m + s)`` iterations.
+            ``_ITERATIONS_PER_VARIABLE * (m + s)`` iterations.
         InternalError: if the answer fails its own certificate (a row or
-            group violated, or a duality gap).
+            group violated, or a duality gap that is large or not finite).
     """
     m, s, k = lp.num_rows, lp.num_cols, lp.k
-    ell, nvar = s // k, s + m
-    # Variables 0..s-1 are the options and s..nvar-1 the row slacks, with
-    # the columns of A and c below; nvar + t is group t's slack, whose
-    # column is zero.
-    A = np.hstack([lp.A, np.eye(m)])
-    c = np.concatenate([lp.c, np.zeros(m)])
+    ell, width = s // k, k + 1
+    grouped = ell * width
+    nvar = grouped + m
+    # Variables are numbered in the tie order: group t's options are
+    # t*width .. t*width + k - 1 and its slack (a zero column) t*width + k;
+    # row i's slack is grouped + i.  gid[v] is v's group, or ell + i for row
+    # slack i, which is in none.  keys[t] is group t's key, and keys[ell + i]
+    # the zero column k, so that every working column is
+    # A[:, v] - A[:, keys[gid[v]]].
+    option = np.arange(s) + np.arange(s) // k  # each column's variable
+    A, c = np.zeros((m, nvar)), np.zeros(nvar)
+    A[:, option], c[option] = lp.A, lp.c
+    A[:, grouped:] = np.eye(m)
+    gid = np.concatenate([np.arange(grouped) // width, np.arange(ell, ell + m)])
+    dscale = max(1.0, float(np.abs(lp.d).max()))
+    row_tol = _PRIMAL_TOL * dscale  # a row slack's primal tolerance; 1 is every other's scale
 
-    status = np.full(nvar, AT_LOWER, dtype=np.int8)
-    basis = np.arange(s, nvar)
-    status[basis] = BASIC
-    key = np.full(ell, -1)   # each group's key option, -1 while its slack is key
-    binv = np.eye(m)
-    xb = lp.d.copy()
-    cw = np.zeros(m)         # cost of each working column, c_v - c_key
+    # Start at y = 0: each group's key is its best positive option (the
+    # earliest on ties), or its slack, and the row slacks are the basis.
+    opt = lp.c.reshape(ell, k)
+    keys = np.concatenate([
+        np.arange(0, grouped, width) + np.where(opt.max(axis=1) > 0.0, opt.argmax(axis=1), k),
+        np.full(m, k)])
+    key = keys[:ell]
+    basis = np.arange(grouped, nvar)
 
-    pivot_cap = _PIVOTS_PER_VARIABLE * (m + s)
-    bland_after = _DANTZIG_PIVOTS_PER_VARIABLE * (m + s)
+    cap = _ITERATIONS_PER_VARIABLE * (m + s)
+    piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(lp.A).max()))
     cost_scale = max(1.0, float(np.abs(lp.c).max()))
-    tol_rc = 1e-9 * cost_scale
-    piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(A).max()))
+    dual_tol = _DUAL_TOL * cost_scale
+    it = flips = refactors = degenerate = 0
 
-    # The tie order, built once: rank[v] is variable v's place (each group's
-    # options, then its slack nvar + t; the row slacks last), and
-    # group_of[v] is option v's group, -1 for a row slack.
-    order = np.hstack([np.arange(s).reshape(ell, k), np.arange(nvar, nvar + ell)[:, None]])
-    rank = np.argsort(np.concatenate([order.ravel(), np.arange(s, nvar)])).tolist()
-    group_of = np.concatenate([np.arange(s) // k, np.full(m, -1)])
+    def fail(exc, message, residual=np.nan, gap=np.nan):
+        return exc(f"{message} (m={m}, s={s}, k={k}; "
+                   f"{SolveStats(it, flips, refactors, residual, gap)})")
+
+    def colsum(cols):
+        return A.take(cols, axis=1).sum(axis=1)
 
     def refactor():
         """Working basis inverse, basic values and column costs, freshly computed."""
-        keyed = key[group_of[basis]]
-        keyed[basis >= s] = -1
-        B, cost = A[:, basis], c[basis]
-        rows = np.flatnonzero(keyed >= 0)
-        if rows.size:
-            B[:, rows] -= A[:, keyed[rows]]
-            cost[rows] -= c[keyed[rows]]
+        nonlocal refactors
+        refactors += 1
+        ref = keys[gid[basis]]
         try:
-            inv = np.linalg.inv(B)
+            inv = np.linalg.inv(A.take(basis, axis=1) - A.take(ref, axis=1))
         except np.linalg.LinAlgError as exc:
-            raise InternalError("basis matrix became singular") from exc
-        keys = key[key >= 0]  # each at 1, in column order
-        rhs = lp.d - A[:, keys] @ np.ones(keys.size) if keys.size else lp.d.copy()
-        return inv, inv @ rhs, cost
+            raise fail(InternalError, "basis matrix became singular") from exc
+        return inv, inv @ (lp.d - colsum(key)), c[basis] - c[ref]
 
-    it = 0
+    binv, cw = np.eye(m), np.zeros(m)
+    xb = lp.d - colsum(key)
+    free = np.ones(nvar, dtype=bool)  # nonbasic: neither working nor a key
+    free[basis] = free[key] = False
+    # busy[t] counts group t's working members.  Row slack i's entry, at
+    # ell + i, starts at 2 (1 more than its own count) and never falls below
+    # 1, so a row slack is never passed in a long step.
+    busy = np.zeros(ell + m, dtype=np.int64)
+    busy[ell:] = 2
+    prices = np.empty((2, m))
+    bland = False
     while True:
+        # Primal values, in Python since there are about m of them: each
+        # working variable, and each key whose group has working members, at
+        # 1 minus their sum (any other key sits at 1).  An entry is (value,
+        # variable, its row, and for a key its group's rows).
+        xs, members, bad = xb.tolist(), {}, []
+        for i, (v, x) in enumerate(zip(basis.tolist(), xs)):
+            if v < grouped:
+                members.setdefault(v // width, []).append(i)
+            if x < -(row_tol if v >= grouped else _PRIMAL_TOL):
+                bad.append((x, v, i, None))
+        for t, rows in members.items():
+            x = 1.0 - sum(xs[i] for i in rows)
+            if x < -_PRIMAL_TOL:
+                bad.append((x, int(key[t]), rows[0], rows))
+        if not bad:
+            break
+        if it >= cap:
+            raise fail(CycleLimitExceeded, f"no optimum within {cap} iterations")
         it += 1
-        if it > pivot_cap:
-            raise CycleLimitExceeded(
-                f"no optimum within {pivot_cap} pivots (m={m}, s={s}, k={k})"
-            )
+        # Leaving: the most infeasible variable in the dual steepest-edge
+        # measure x^2 / |its row of B^-1|^2 (a key's row is minus the sum of
+        # its members' rows), the earliest on ties, or under the rank rule
+        # the earliest infeasible one.
+        bland = bland or degenerate >= _DEGENERATE_ITERATIONS
+        if bland or len(bad) == 1:  # a lone infeasible variable needs no measure
+            x, v, r, rows = min(bad, key=lambda e: e[1])
+        else:
+            norm = (binv * binv).sum(axis=1).tolist()
+            x, v, r, rows = max(bad, key=lambda e: (e[0] ** 2 / (
+                norm[e[2]] if e[3] is None else float(np.square(binv[e[3]].sum(axis=0)).sum())),
+                -e[1]))
+        if rows is not None:
+            # A key leaves.  A working member of its group becomes key and the
+            # old key takes that member's row: every working column of the
+            # group shifts by the same vector, so the inverse changes in that
+            # row alone, to minus the sum of the group's rows.
+            binv[r] = -binv[rows].sum(axis=0)
+            shift = cw[r]
+            cw[rows] -= shift
+            cw[r] = -shift
+            xb[r] = x
+            basis[r], key[v // width] = v, basis[r]
+        need = -x - (row_tol if v >= grouped else _PRIMAL_TOL)
+
+        # Row r of B^-1 [A | I] and the reduced costs, both net of the key of
+        # each variable's group.  Entering j moves x_r by rise_j per unit, so
+        # x_r < 0 rises only on rise_j > 0.
+        np.dot(cw, binv, out=prices[0])
+        np.negative(binv[r], out=prices[1])
+        both = prices @ A
+        np.subtract(c, both[0], out=both[0])
+        both -= both.take(keys[gid], axis=1)
+        rc, rise = both
+        cand = ((rise > piv_tol) & free).nonzero()[0]
+        if not cand.size:
+            raise fail(InternalError, f"no entering variable repairs row {r}")
+        drop, rise = rc[cand], rise[cand]
+        drop[drop > -dual_tol] = 0.0  # so rounding does not order degenerate ties
+
+        if bland:
+            ratio = -drop / rise
+            first = int(ratio.argmin())
+            q, theta = int(cand[first]), ratio[first]
+        else:
+            # Long step.  Along the ray the dual objective is convex and
+            # piecewise linear with slope x_r < 0 at the start.  A group's
+            # share is the upper envelope of its lines rc_j + theta*rise_j
+            # (the key's is 0), and passing one of its breakpoints makes that
+            # line the group's key (at k = 1, a flip between an option and its
+            # slack) and raises the slope by the steepness gained.  A row
+            # slack, or a variable of a group with other working members,
+            # cannot be passed: its first breakpoint ends the step.
+            # The leaving variable's group is free when it is the only working
+            # member there, since its column leaves the basis with it.
+            groups = gid[cand]
+            blocked = busy > 0
+            blocked[gid[basis[r]]] = busy[gid[basis[r]]] > 1
+            step = _long_step(cand, groups, keys, drop, rise, blocked, k, piv_tol, need)
+            if step is None:
+                raise fail(InternalError, f"no entering variable repairs row {r}")
+            passed, before, q, theta = step
+            if passed.size:
+                # Each group's key becomes the last line it passed.
+                xb -= binv @ (colsum(passed) - colsum(before))
+                free[passed] = False
+                free[before] = True
+                last = passed[~free[passed]]
+                key[gid[last]] = last
+                flips += passed.size
+        degenerate = degenerate + 1 if theta <= 0.0 else 0
+
+        # Exchange: q enters row r.
+        out, gq = int(basis[r]), int(gid[q])
+        ref = int(keys[gq])
+        dcol = binv @ (A[:, q] - A[:, ref])
+        piv = float(dcol[r])
+        if abs(piv) <= piv_tol:
+            raise fail(InternalError, "vanishing pivot element")
+        step = xb[r] / piv
+        xb -= step * dcol
+        xb[r] = step
+        busy[gid[out]] -= 1
+        busy[gq] += 1
+        free[out], free[q] = True, False
+        cw[r] = c[q] - c[ref]
+        basis[r] = q
+        row = binv[r] / piv
+        binv -= np.outer(dcol, row)
+        binv[r] = row
         if it % _REFACTOR_EVERY == 0:
             binv, xb, cw = refactor()
 
-        # Reduced costs: an option's net of its group's dual u, and a group
-        # slack's -u, which is positive when the key option pays less than
-        # nothing at these prices.
-        y = cw @ binv
-        rc = c - y @ A
-        u = np.where(key >= 0, rc[key], 0.0)
-        opt_rc = rc[:s].reshape(ell, k)
-        opt_rc -= u[:, None]
-        if it <= bland_after:
-            score = np.where(status == AT_LOWER, rc, -np.inf)
-            j = int(np.argmax(score))
-            t = int(np.argmin(u))
-            if score[j] <= tol_rc and -u[t] <= tol_rc:
-                break
-            if -u[t] > score[j] or (-u[t] == score[j] and rank[nvar + t] < rank[j]):
-                j = nvar + t
-        else:
-            firsts = [int(np.flatnonzero(e)[0]) + off for e, off in (
-                ((status == AT_LOWER) & (rc > tol_rc), 0), (u < -tol_rc, nvar)) if e.any()]
-            if not firsts:
-                break
-            j = min(firsts, key=rank.__getitem__)
-
-        # The entering variable rises from 0.  A group slack pushes its key
-        # option down, so the working basis sees that option's column negated.
-        if j >= nvar:
-            gj = j - nvar
-            kj = int(key[gj])
-            sigma, col = -1.0, A[:, kj]
-        else:
-            gj = j // k if j < s else -1
-            kj = int(key[gj]) if gj >= 0 else -1
-            sigma, col = 1.0, A[:, j] - A[:, kj] if kj >= 0 else A[:, j]
-        step_dir = sigma * (binv @ col)
-
-        # Ratio test: basic variables move by -step_dir per unit of t.  A
-        # working variable can fall to 0, and so can the key of each group
-        # the step touches (a working variable's or the entering one's): the
-        # key is 1 minus its group's working members.
-        xs, ds = xb.tolist(), step_dir.tolist()
-        row_group = group_of[basis].tolist()
-        falling = {gj: [1.0, 1.0]} if gj >= 0 else {}  # group: [key value, rate of fall]
-        for r, g in enumerate(row_group):
-            if g >= 0:
-                fall = falling.setdefault(g, [1.0, 0.0])
-                fall[0] -= xs[r]
-                fall[1] -= ds[r]
-        # Candidates (t, rank, row, group): the smallest t leaves, and on a
-        # tie the entering variable's own key, then the earliest in rank.
-        # Degeneracy can leave tiny negative ratios, read as 0.
-        leaving = [(max(0.0, xs[r] / ds[r]), rank[basis[r]], r, -1)
-                   for r in range(m) if ds[r] > piv_tol]
-        leaving += [(max(0.0, val / rate),
-                     -1 if g == gj else rank[key[g] if key[g] >= 0 else nvar + g], -1, g)
-                    for g, (val, rate) in falling.items() if rate > piv_tol]
-        if not leaving:
-            raise InternalError("unbounded improving direction")
-        t_step, _, r, g = min(leaving)
-        xb -= step_dir * t_step
-
-        if g >= 0 and g == gj:
-            # The entering variable replaces its own group's key: the bound flip.
-            if kj >= 0:
-                status[kj] = AT_LOWER
-            key[gj] = j if j < nvar else -1
-            if j < nvar:
-                status[j] = BASIC
-            if gj in row_group:
-                binv, xb, cw = refactor()
-            continue
-
-        rewrite = False
-        if g < 0:
-            # A working variable falls to 0 and leaves.
-            status[basis[r]] = AT_LOWER
-        else:
-            # A key falls to 0; a working member of its group becomes key.
-            rows = [q for q in range(m) if row_group[q] == g]
-            r = rows[0]
-            if key[g] >= 0:
-                status[key[g]] = AT_LOWER
-            key[g] = basis[r]
-            rewrite = len(rows) > 1
-        if j >= nvar:
-            # The group slack becomes key; its old key option takes row r.
-            key[gj] = -1
-            val, rate = falling[gj]
-            enter, value, cost = kj, val - rate * t_step, c[kj]
-            rewrite = rewrite or any(row_group[q] == gj for q in range(m) if q != r)
-        else:
-            enter, value, cost = j, t_step, c[j] - c[kj] if kj >= 0 else c[j]
-        basis[r] = enter
-        status[enter] = BASIC
-        if rewrite:
-            binv, xb, cw = refactor()
-            continue
-
-        piv = step_dir[r] / sigma
-        if abs(piv) <= piv_tol:
-            raise InternalError("vanishing pivot element")
-        xb[r] = value
-        cw[r] = cost
-
-        # Rank-one update of the basis inverse.
-        dcol = sigma * step_dir  # = binv @ (column entering row r)
-        binv[r, :] /= piv
-        other = np.arange(m) != r
-        binv[other, :] -= np.outer(dcol[other], binv[r, :])
-
     # Clean recompute from a fresh factorization for the reported solution.
     binv, xb, cw = refactor()
-    y = cw @ binv
-
-    grp = group_of[basis]
-    opt_rows = grp >= 0
-    filled = np.bincount(grp[opt_rows], weights=xb[opt_rows], minlength=ell)
-    has_members = np.bincount(grp[opt_rows], minlength=ell) > 0
-    keyed = np.flatnonzero(key >= 0)
-    full = np.zeros(nvar)
+    full, status = np.zeros(nvar), np.full(nvar, AT_LOWER, dtype=np.int8)
+    member = basis[basis < grouped] // width  # the group of each working option or slack
     full[basis] = xb
-    full[key[keyed]] = 1.0 - filled[keyed]
-    x = np.clip(full[:s], 0.0, 1.0)
-    info = status[:s].copy()
-    info[key[keyed]] = np.where(has_members[keyed], BASIC, AT_UPPER)
+    full[key] = 1.0 - np.bincount(member, weights=xb[basis < grouped], minlength=ell)
+    status[key] = AT_UPPER
+    status[key[member]] = BASIC
+    status[basis] = BASIC
 
-    sol = LpSolution(
-        x=x,
-        dual=y.copy(),
-        reduced_info=info,
-        objective=float(lp.c @ x),
-        pivots=it - 1,
-    )
-    slack, _, _, fill = _residuals(lp, sol)
-    if -slack.min() > _FEAS_TOL * max(1.0, float(np.abs(lp.d).max())):
-        raise InternalError(f"row violation {-slack.min():.3e} after termination")
-    if fill.max() - 1.0 > _FEAS_TOL:
-        raise InternalError(f"group sum exceeds 1 by {fill.max() - 1.0:.3e} after termination")
-    gap = abs(sol.objective - sol.dual_objective(lp))
-    if gap > _GAP_TOL * max(abs(sol.objective), cost_scale):
-        raise InternalError(
-            f"duality gap {gap:.3e} after {sol.pivots} pivots (objective {sol.objective:.6g})"
-        )
+    sol = LpSolution(x=full[option].clip(0.0, 1.0), dual=cw @ binv,
+                     reduced_info=status[option], objective=0.0)
+    sol.objective = float(lp.c @ sol.x)
+    slack, _, u, fill = _residuals(lp, sol)
+    violation, excess = -slack.min(), fill.max() - 1.0
+    residual = float(np.max([0.0, violation, excess]))
+    gap = abs(sol.objective - float(lp.d @ sol.dual + u.sum()))  # dual_objective's value
+    sol.stats = SolveStats(it, flips, refactors, residual, gap)
+    if not violation <= _FEAS_TOL * dscale:
+        raise fail(InternalError, f"row violation {violation:.3e} after termination", residual, gap)
+    if not excess <= _FEAS_TOL:
+        raise fail(InternalError, f"group sum exceeds 1 by {excess:.3e} after termination",
+                   residual, gap)
+    if not gap <= _GAP_TOL * max(abs(sol.objective), cost_scale):
+        raise fail(InternalError, f"duality gap {gap:.3e} (objective {sol.objective:.6g})",
+                   residual, gap)
     return sol
+
+
+def _long_step(cand, groups, keys, drop, rise, blocked, k, tol, need):
+    """The long step along a dual ray: the breakpoints it passes and the one it ends at.
+
+    Candidate j is the line ``drop[j] + theta * rise[j]`` (``drop`` <= 0,
+    ``rise`` > 0) in group ``groups[j]``, whose key ``keys[groups[j]]`` has
+    the line 0; ``cand`` is ascending, so each group's candidates are
+    adjacent and in tie order.  The breakpoints are those of each group's
+    upper envelope.  At k = 1 a group has one line beside its key, so every
+    crossing is one.  Otherwise, round by round, each group's next envelope
+    line is the one that crosses its current line first (the steepest on
+    ties, then the earliest); a group has at most k lines beside its key,
+    and a blocked group stops after its first.  Each envelope line is at
+    least as steep as the one before, so the step over the first round
+    alone ends no earlier than the full step: later rounds look only at
+    lines that cross before that point.  ``_passing_order`` sorts the
+    breakpoints and finds where the step ends.
+
+    Returns the passed variables, the lines they replace, the variable that
+    enters and its crossing point, or None when no breakpoint ends the step.
+    """
+    cross = -drop / rise
+    late = blocked[groups]
+    if k == 1:  # the only blocked lines, row slacks, come last among ties already
+        lines = cand, None, cross, rise, late
+        order, p = _passing_order(cross, rise, late, need, blocked_last=True)
+    else:
+        at, run = _first_crossings(groups, cross, rise)
+        lines = cand[at], keys[groups[at]], cross[at], rise[at], late[at]
+        order, p = _passing_order(*lines[2:], need)
+        # Later rounds: lines of unblocked groups, steeper than their group's
+        # first line, that cross their key before the first round's step ends.
+        if at.size < cand.size:  # some group has more than one line
+            bound = lines[2][order[p]] if p < order.size else np.inf
+            live = ~late & (rise > lines[3][run] + tol) & (cross <= bound)
+            if live.any():
+                lines = _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k,
+                                      tol, bound)
+                order, p = _passing_order(*lines[2:], need)
+    if p == order.size:
+        return None
+    head = order[:p + 1]
+    var, cross = lines[0][head], lines[2][head[p]]
+    before = keys[groups[head[:p]]] if lines[1] is None else lines[1][head[:p]]
+    return var[:p], before, int(var[p]), cross
+
+
+def _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k, tol, bound):
+    """The first round's breakpoints with the later rounds' appended.
+
+    ``lines`` holds the first round (variable, line replaced, crossing point,
+    gain, blocked), ``at`` its positions among the candidates and ``live``
+    the candidates that may still join an envelope before ``bound``.
+    """
+    found = [lines]
+    g = groups[at]
+    top = np.zeros((3, blocked.size))  # each group's current line: drop, rise, start
+    top[:, g] = drop[at], rise[at], lines[2]
+    line = np.zeros(blocked.size, dtype=np.int64)
+    line[g] = lines[0]
+    for _ in range(k - 1):
+        idx = live.nonzero()[0]
+        g = groups[idx]
+        cross = np.maximum((top[0, g] - drop[idx]) / (rise[idx] - top[1, g]), top[2, g])
+        near = (cross <= bound).nonzero()[0]  # the others cross past the step's end
+        if not near.size:
+            break
+        idx, g, cross = idx[near], g[near], cross[near]
+        first = _first_crossings(g, cross, rise[idx])[0]
+        idx, g, cross = idx[first], g[first], cross[first]
+        found.append((cand[idx], line[g], cross, rise[idx] - top[1, g], blocked[g]))
+        top[:, g], line[g] = (drop[idx], rise[idx], cross), cand[idx]
+        live &= rise > top[1, groups] + tol
+        if not live.any():
+            break
+    return tuple(np.concatenate(part) for part in zip(*found))
+
+
+def _passing_order(cross, gain, late, need, blocked_last=False):
+    """The breakpoints' passing order and the position in it of the one that ends the step.
+
+    The order is by crossing point, the blocked (``late``) last on ties,
+    then as given (``blocked_last`` says they are last as given already).
+    The step ends at the first breakpoint whose cumulative gain reaches
+    ``need``, or at the first blocked one; the position is the number of
+    breakpoints when neither comes.
+    """
+    if blocked_last:
+        order = cross.argsort(kind="stable")
+    else:
+        order = np.concatenate([(~late).nonzero()[0], late.nonzero()[0]])
+        order = order[cross[order].argsort(kind="stable")]
+    p = int(gain[order].cumsum().searchsorted(need))
+    hit = late[order]
+    first = int(hit.argmax())
+    return order, min(p, first) if hit[first] else p
+
+
+def _first_crossings(groups, cross, rise):
+    """Each run of equal ``groups``' smallest crossing, the steepest on ties, then the first.
+
+    Returns the positions of those crossings and each entry's run.
+    """
+    change = np.empty(groups.size, dtype=bool)
+    change[0] = True
+    np.not_equal(groups[1:], groups[:-1], out=change[1:])
+    start, run = change.nonzero()[0], change.cumsum() - 1
+    low = cross == np.minimum.reduceat(cross, start)[run]
+    if np.count_nonzero(low) == start.size:  # no run has a tie
+        return low.nonzero()[0], run
+    steep = np.where(low, rise, -np.inf)
+    first = np.where(steep == np.maximum.reduceat(steep, start)[run], np.arange(groups.size),
+                     groups.size)
+    return np.minimum.reduceat(first, start), run
 
 
 @dataclass(frozen=True)

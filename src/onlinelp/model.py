@@ -347,5 +347,10 @@ def save_instance(inst: Instance | MultiInstance, path) -> None:
 
 
 def load_instance(path) -> Instance | MultiInstance:
+    """Read an instance file; ParseError if it is not UTF-8 text holding a valid instance."""
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    return instance_from_json(text)

@@ -366,3 +366,17 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "bench" in proc.stdout
+
+
+def test_overflowing_rewards_are_a_data_error_under_warnings_as_errors(tmp_path):
+    """Rewards near the float64 maximum overflow the LP: exit 3, not an infinite answer."""
+    def onlinelp(*argv):
+        return subprocess.run([sys.executable, "-W", "error", "-m", "onlinelp", *argv],
+                              capture_output=True, text=True)
+
+    huge = tmp_path / "huge.json"
+    assert onlinelp("gen", "--kind", "routing", "--m", "2", "--n", "50", "--q", "0.5",
+                    "--capacity", "5", "--reward-hi", "1e308", "-o", str(huge)).returncode == 0
+    proc = onlinelp("run", "-i", str(huge), "--algo", "dpa", "--eps", "0.2")
+    assert proc.returncode == 3
+    assert "overflows" in proc.stderr and "Traceback" not in proc.stderr

@@ -196,6 +196,27 @@ def test_invalid_data_rejected():
         BoxedLp(c=np.array([np.nan]), A=np.ones((1, 1)), d=np.ones(1))
 
 
+@pytest.mark.parametrize("c, A", [
+    ([1e308, 1e308], [[1.0, 1.0]]),
+    ([1.0, 1.0], [[1e308, 1e308]]),
+], ids=["objective", "row activity"])
+def test_overflowing_data_rejected(c, A):
+    with pytest.raises(ValueError, match="overflows"):
+        BoxedLp(c=np.array(c), A=np.array(A), d=np.ones(1))
+
+
+def test_non_finite_gap_fails_the_certificate(monkeypatch):
+    residuals = lp_module._residuals
+
+    def nan_group_duals(lp, sol):
+        slack, rc, u, fill = residuals(lp, sol)
+        return slack, rc, np.full_like(u, np.nan), fill
+
+    monkeypatch.setattr(lp_module, "_residuals", nan_group_duals)
+    with pytest.raises(InternalError, match="duality gap nan"):
+        solve_boxed_lp(_lp([4.0, 3.0], [[1.0, 1.0]], [1.5]))
+
+
 @pytest.mark.parametrize("make, exc, match", [
     (lambda: BoxedLp(c=np.ones(2), A=np.ones(2), d=np.ones(1)), DimensionMismatch, "A must be a matrix"),
     (lambda: BoxedLp(c=np.zeros(0), A=np.zeros((1, 0)), d=np.ones(1)), DimensionMismatch,
@@ -210,29 +231,39 @@ def test_rejected_input(make, exc, match):
 
 
 def test_pivot_cap_raises_cycle_limit(monkeypatch):
-    monkeypatch.setattr(lp_module, "_PIVOTS_PER_VARIABLE", 0)  # no iteration allowed
+    monkeypatch.setattr(lp_module, "_ITERATIONS_PER_VARIABLE", 0)  # no iteration allowed
     lp = _lp([4.0, 3.0, 2.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.5])
-    with pytest.raises(CycleLimitExceeded):
+    with pytest.raises(CycleLimitExceeded, match="0 iterations, 0 flips, 0 refactorizations"):
         solve_boxed_lp(lp)
 
 
-def test_bland_rule_from_the_first_pivot(monkeypatch):
-    """The anti-cycling fallback, reached at once, still finds the optimum."""
+def test_rank_rule_from_the_first_iteration(monkeypatch):
+    """The dual's anti-cycling fallback, reached at once, still finds the optimum.
+
+    With no degenerate iteration allowed, every iteration takes the
+    earliest infeasible variable in rank and the earliest minimum-ratio
+    entering one, without long steps.
+    """
     grouped = [random_grouped_lp(seed) for seed in range(100)]
     refs = [solve_boxed_lp(BoxedLp(*explicit_groups(c, A, d, k))).objective
             for c, A, d, k in grouped]
-    monkeypatch.setattr(lp_module, "_DANTZIG_PIVOTS_PER_VARIABLE", 0)
+    long_step = solve_boxed_lp(BoxedLp(*random_boxed_lp(0))).stats
+    monkeypatch.setattr(lp_module, "_DEGENERATE_ITERATIONS", 0)
+    fallback = solve_boxed_lp(BoxedLp(*random_boxed_lp(0))).stats
+    assert fallback.flips == 0 and long_step.flips > 0
     for seed in range(60):
         c, A, d = random_boxed_lp(seed)
         lp = BoxedLp(c=c, A=A, d=d)
         sol = solve_boxed_lp(lp)
         assert sol.objective == pytest.approx(enumerate_boxed_opt(c, A, d), abs=1e-8), seed
         assert verify_complementary_slackness(lp, sol) == [], seed
+        assert sol.stats.flips == 0, seed
     for seed, ((c, A, d, k), ref) in enumerate(zip(grouped, refs)):
         lp = BoxedLp(c=c, A=A, d=d, k=k)
         sol = solve_boxed_lp(lp)
         assert abs(sol.objective - ref) <= 1e-8 * max(1.0, float(np.abs(c).max())), seed
         assert verify_complementary_slackness(lp, sol) == [], seed
+        assert sol.stats.flips == 0, seed
 
 
 def test_dual_objective_is_the_box_formula_at_k1():
@@ -246,18 +277,34 @@ def test_dual_objective_is_the_box_formula_at_k1():
 
 def test_failed_certificate_raises(monkeypatch):
     monkeypatch.setattr(lp_module, "_GAP_TOL", -1.0)  # no gap can pass
-    with pytest.raises(InternalError, match="duality gap"):
+    stats = r"duality gap .* iterations, .* residual 0\.000e\+00, gap"
+    with pytest.raises(InternalError, match=stats):
         solve_boxed_lp(_lp([4.0, 3.0], [[1.0, 1.0]], [1.5]))
 
 
-def test_pivot_count_pinned_on_offline_routing():
+def test_iterations_bounded_on_offline_routing():
+    """Iterations grow with m, not n: at most 10 m on 4000 columns."""
     inst = generate(GenSpec("routing", 0, dict(m=5, n=4000, q=0.5, capacity=400.0)))
-    assert solve_boxed_lp(flatten_lp(inst)).pivots == 2330
+    lp = flatten_lp(inst)
+    sol = solve_boxed_lp(lp)
+    assert sol.stats.iterations <= 10 * inst.m
+    assert sol.pivots == sol.stats.iterations + sol.stats.flips
+    assert sol.stats.refactorizations >= 1
+    assert sol.stats.max_residual <= 1e-7 * float(lp.d.max())
+    assert sol.stats.gap == abs(sol.objective - sol.dual_objective(lp))
+
+
+def test_one_long_step_solves_the_secretary_lp():
+    """m = 1: one sort of the breakpoints passes every flip the slope allows."""
+    inst = generate(GenSpec("secretary", 101, dict(n=10_000, k=400, reward_dist="heavy_tail",
+                                                   sigma=3.0)))
+    assert solve_boxed_lp(flatten_lp(inst)).stats.iterations <= 3
 
 
 def test_pivot_count_bounded_on_offline_adwords():
+    """At most 200 basis exchanges on 800 groups of three (flips count apart)."""
     inst = generate(GenSpec("adwords", 0, dict(n=800, m=3)))
-    assert solve_boxed_lp(flatten_lp(inst)).pivots <= 200
+    assert solve_boxed_lp(flatten_lp(inst)).stats.iterations <= 200
 
 
 class TestGroupedLp:

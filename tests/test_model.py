@@ -127,6 +127,12 @@ class TestRoundTrip:
         back = load_instance(path)
         assert np.array_equal(back.consumption, inst.consumption)
 
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + instance_to_json(small_instance()).encode("utf-16-le"))
+        with pytest.raises(ParseError, match="not UTF-8"):
+            load_instance(path)
+
     def test_awkward_reals_survive(self):
         # 17 significant digits round-trip doubles exactly.
         vals = np.array([1 / 3, 0.1, 2 ** -40, 1.0])
