@@ -6,7 +6,7 @@ run (and the eps trend is the interesting part: too small never learns,
 too large wastes the stream).
 """
 
-from onlinelp import GenSpec, generate, run_trials
+from onlinelp import GenSpec, generate, run_grid
 
 
 def main():
@@ -16,14 +16,11 @@ def main():
     print(f"routing instance: m={inst.m} n={inst.n} B={inst.b.min():.0f}")
     print()
     print(f"{'algo':16s} {'eps':>5s}   mean ratio   std     worst   violations")
-    for algo in ("ola", "dpa", "greedy_baseline"):
-        eps_grid = (0.1,) if algo == "greedy_baseline" else (0.02, 0.05, 0.1, 0.2, 0.3)
-        for eps in eps_grid:
-            stats = run_trials(inst, algo, eps, trials=25, base_seed=10)
-            ratios = stats.ratios
-            print(f"{algo:16s} {eps:5}   {stats.mean_ratio:.4f}      "
-                  f"{stats.std_ratio:.4f}  {min(ratios):.4f}  {stats.violations}")
-
+    cells = [(algo, eps) for algo in ("ola", "dpa") for eps in (0.02, 0.05, 0.1, 0.2, 0.3)]
+    cells.append(("greedy_baseline", 0.1))
+    for stats in run_grid(inst, cells, trials=25, base_seed=10):
+        print(f"{stats.algo:16s} {stats.eps:5}   {stats.mean_ratio:.4f}      "
+              f"{stats.std_ratio:.4f}  {min(stats.ratios):.4f}  {stats.violations}")
 
 if __name__ == "__main__":
     main()

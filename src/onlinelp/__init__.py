@@ -86,6 +86,7 @@ from .harness import (
     lemma_kkt_oracle,
     lemma_sample_opt_oracle,
     offline_opt,
+    run_grid,
     run_trials,
 )
 
@@ -145,6 +146,7 @@ __all__ = [
     "run_dpa",
     "run_dpa_multi",
     "run_ola",
+    "run_grid",
     "run_trials",
     "sample_lp",
     "save_instance",

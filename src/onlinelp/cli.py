@@ -1,8 +1,8 @@
 """Command-line front end: gen, run, bench, sample-lp, check.
 
 Every command is deterministic given its flags — all randomness flows from
-explicit seeds.  Exit codes: 0 ok, 2 flag/usage error, 3 bad input data,
-4 internal solver failure.
+explicit seeds.  Exit codes: 0 ok, 2 flag/usage error, 3 bad input data
+(including sizes too large to allocate), 4 internal solver failure.
 
 ``gen`` takes each generator's keyword parameters as ``--kebab-case`` flags
 typed by their annotations; ``run --algo`` and ``check --variant`` offer the
@@ -23,7 +23,10 @@ from typing import get_args
 from .engine import CONDITION_VARIANTS, check_input_condition, options
 from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
-from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_trials
+from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_grid
+# Unused here: benchmarks/tracer.py wraps ``cli.run_trials`` and fails if the
+# name is gone (ROADMAP item 6 retargets it to ``run_grid``).
+from .harness import run_trials  # noqa: F401
 from .model import MultiInstance, load_instance, real, save_instance
 
 _CSV_HEADER = "algo,eps,trial,seed,objective,opt,ratio,violations,runtime_ms"
@@ -112,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="CSV path (stdout when omitted)")
     bench.add_argument("--jobs", type=partial(_positive_int, "jobs"),
                        default=os.cpu_count() or 1,
-                       help="worker processes, at most one per trial")
+                       help="worker processes shared by the whole (algo, eps, trial) grid")
     bench.add_argument("--timings", action="store_true",
                        help="record wall time per trial (off keeps CSV reproducible)")
     bench.set_defaults(func=cmd_bench)
@@ -200,22 +203,21 @@ def cmd_bench(args) -> int:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER.split(","))
+    cells = [(algo, eps) for algo in args.algos for eps in args.eps]
+    grid = run_grid(inst, cells, args.trials, base_seed=args.base_seed, jobs=args.jobs)
     summaries = []
-    for algo in args.algos:
-        for eps in args.eps:
-            stats = run_trials(inst, algo, eps, args.trials,
-                               base_seed=args.base_seed, jobs=args.jobs)
-            summaries.append(
-                f"{algo} eps={eps:g}: mean ratio {stats.mean_ratio:.4f} "
-                f"(std {stats.std_ratio:.4f}), violations {stats.violations}"
-            )
-            for rec in stats.records:
-                writer.writerow([
-                    algo, real(eps), rec.trial, rec.seed,
-                    real(rec.objective), real(rec.opt), real(rec.ratio),
-                    rec.violations,
-                    real(rec.runtime_ms) if args.timings else "0",
-                ])
+    for stats in grid:
+        summaries.append(
+            f"{stats.algo} eps={stats.eps:g}: mean ratio {stats.mean_ratio:.4f} "
+            f"(std {stats.std_ratio:.4f}), violations {stats.violations}"
+        )
+        for rec in stats.records:
+            writer.writerow([
+                stats.algo, real(stats.eps), rec.trial, rec.seed,
+                real(rec.objective), real(rec.opt), real(rec.ratio),
+                rec.violations,
+                real(rec.runtime_ms) if args.timings else "0",
+            ])
     if args.output is None:
         sys.stdout.write(buf.getvalue())
     else:
@@ -272,7 +274,7 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"onlinelp: internal error: {exc}", file=sys.stderr)
         return 4
-    except (OnlineLpError, ValueError, OSError) as exc:
+    except (OnlineLpError, ValueError, OSError, MemoryError) as exc:
         print(f"onlinelp: error: {exc}", file=sys.stderr)
         return 3
 

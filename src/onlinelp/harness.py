@@ -1,12 +1,14 @@
 """Benchmarks, baselines, and verification oracles.
 
-``run_trials`` shuffles an instance R times with consecutive seeds, runs one
-policy on each shuffle, and aggregates ratios against the offline LP optimum
-(computed once; it is permutation invariant).  The two lemma oracles back the
-structural claims the policies rest on: the KKT oracle counts columns where
-the offline optimum and the price rule disagree (at most m after reward
-perturbation), and the sample-OPT oracle averages the prefix LP's value over
-shuffles (at most eps times the full optimum in expectation).
+``run_grid`` shuffles an instance R times with consecutive seeds, runs every
+(policy, eps) cell of a grid on each shuffle, and aggregates each cell's
+ratios against the offline LP optimum.  The optimum is solved once per grid,
+since it is permutation invariant, and every (cell, trial) task goes to one
+process pool; ``run_trials`` is the grid of one cell.  The two lemma oracles
+back the structural claims the policies rest on: the KKT oracle counts
+columns where the offline optimum and the price rule disagree (at most m
+after reward perturbation), and the sample-OPT oracle averages the prefix
+LP's value over shuffles (at most eps times the full optimum in expectation).
 ``column_sample_solve`` is the offline cousin of one-time learning: price
 every column with a dual learned from a random sample.
 """
@@ -33,6 +35,7 @@ __all__ = [
     "TrialStats",
     "offline_opt",
     "greedy_baseline",
+    "run_grid",
     "run_trials",
     "lemma_kkt_oracle",
     "lemma_sample_opt_oracle",
@@ -53,7 +56,11 @@ def dispatch(inst: Instance | MultiInstance, algo: str, eps: float) -> RunResult
         return run_dpa_multi(inst, eps)
     if algo == "greedy_baseline":
         return greedy_baseline(inst)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    raise _unknown(algo)
+
+
+def _unknown(algo: str) -> ValueError:
+    return ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
 
 
 def offline_opt(inst: Instance | MultiInstance) -> tuple[float, np.ndarray, DualPrice]:
@@ -103,7 +110,7 @@ class TrialRecord:
 
 @dataclass
 class TrialStats:
-    """Aggregate of run_trials: per-trial records plus summary statistics."""
+    """One cell of run_grid: per-trial records plus summary statistics."""
 
     algo: str
     eps: float
@@ -140,6 +147,48 @@ def _one_trial(inst, algo: str, eps: float, trial: int, seed: int, opt: float) -
     )
 
 
+def run_grid(
+    inst: Instance | MultiInstance,
+    cells: list[tuple[str, float]],
+    trials: int,
+    base_seed: int = 0,
+    jobs: int = 1,
+) -> list[TrialStats]:
+    """Run ``trials`` shuffled replays of every (algo, eps) cell; one TrialStats per cell.
+
+    Trial r of every cell shuffles with seed ``base_seed + r`` (r = 1..trials),
+    so results are reproducible and the cells compare policies on identical
+    arrival orders.  The offline optimum is solved once for the whole grid.
+    ``jobs > 1`` runs the (cell, trial) tasks in one pool of up to ``jobs``
+    worker processes, never more than there are tasks; each cell's records
+    come back in trial order either way.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    for algo, _ in cells:
+        if algo not in ALGORITHMS:
+            raise _unknown(algo)
+    opt, _, _ = offline_opt(inst)
+    grid = [TrialStats(algo=algo, eps=eps, opt=opt) for algo, eps in cells]
+    tasks = [(stats, r, base_seed + r) for stats in grid for r in range(1, trials + 1)]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_one_trial, inst, stats.algo, stats.eps, r, seed, opt)
+                       for stats, r, seed in tasks]
+            try:
+                records = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # a failed task ends the grid
+                raise
+    else:
+        records = [_one_trial(inst, stats.algo, stats.eps, r, seed, opt)
+                   for stats, r, seed in tasks]
+    for (stats, _, _), record in zip(tasks, records):
+        stats.records.append(record)
+    return grid
+
+
 def run_trials(
     inst: Instance | MultiInstance,
     algo: str,
@@ -148,30 +197,8 @@ def run_trials(
     base_seed: int = 0,
     jobs: int = 1,
 ) -> TrialStats:
-    """Run ``trials`` shuffled replays of one policy and aggregate the ratios.
-
-    Trial r shuffles with seed ``base_seed + r`` (r = 1..trials), so results
-    are reproducible and different policies can be compared on identical
-    arrival orders.  ``jobs > 1`` runs trials in up to ``jobs`` worker
-    processes, never more than there are trials; records come back in trial
-    order either way.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    opt, _, _ = offline_opt(inst)
-    stats = TrialStats(algo=algo, eps=eps, opt=opt)
-    seeds = [(r, base_seed + r) for r in range(1, trials + 1)]
-    workers = min(jobs, trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_one_trial, inst, algo, eps, r, seed, opt)
-                for r, seed in seeds
-            ]
-            stats.records = [f.result() for f in futures]
-    else:
-        stats.records = [_one_trial(inst, algo, eps, r, seed, opt) for r, seed in seeds]
-    return stats
+    """Run ``trials`` shuffled replays of one policy: ``run_grid`` on the one cell (algo, eps)."""
+    return run_grid(inst, [(algo, eps)], trials, base_seed, jobs)[0]
 
 
 def lemma_kkt_oracle(

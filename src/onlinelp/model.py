@@ -111,7 +111,8 @@ class MultiColumn:
 def _validate(inst, option_shape: tuple[int, ...]) -> None:
     """Coerce and check an instance in place; ``option_shape`` is () or (k,).
 
-    Rewards have shape (n, *option_shape) and consumption (n, m, *option_shape).
+    Rewards have shape (n, *option_shape) and consumption (n, m, *option_shape),
+    and their sum must be finite, so no objective value can overflow.
     """
     inst.b = _as_float_vector(inst.b, "b")
     inst.rewards = np.asarray(inst.rewards, dtype=np.float64)
@@ -130,6 +131,10 @@ def _validate(inst, option_shape: tuple[int, ...]) -> None:
     if np.any(inst.b <= 0.0):
         raise ValueError("capacities must be strictly positive")
     _check_entries(inst.rewards, inst.consumption)
+    # The check BoxedLp makes of its objective: every total of rewards stays finite.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(inst.rewards.sum()):
+            raise ValueError("rewards overflow when summed; rescale the data")
     if inst.meta is not None and not isinstance(inst.meta, dict):
         raise ValueError(
             f"meta must be a dict or None (a JSON object or null), got {type(inst.meta).__name__}"

@@ -9,7 +9,9 @@ import typing
 import numpy as np
 import pytest
 
-from onlinelp import CycleLimitExceeded, Instance, InternalError, cli, errors, save_instance
+from onlinelp import (
+    CycleLimitExceeded, Instance, InternalError, cli, errors, harness, offline_opt, save_instance,
+)
 from onlinelp.cli import main
 from onlinelp.generators import GENERATORS
 from test_model import BEYOND_PARSER, NOT_REALS, SHORT_COLUMNS
@@ -273,6 +275,26 @@ class TestBench:
         out = capsys.readouterr().out
         assert out.startswith("algo,eps,trial,")
 
+    def test_jobs_do_not_change_the_csv(self, routing_file, tmp_path):
+        flags = ["bench", "-i", str(routing_file), "--algos", "ola,dpa,greedy_baseline",
+                 "--eps", "0.1,0.2", "--trials", "3", "--base-seed", "4"]
+        for jobs in ("1", "2"):
+            assert main(flags + ["--jobs", jobs, "-o", str(tmp_path / f"{jobs}.csv")]) == 0
+        assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+    def test_offline_lp_is_solved_once(self, routing_file, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(inst):
+            calls.append(inst.n)
+            return offline_opt(inst)
+
+        monkeypatch.setattr(harness, "offline_opt", counted)
+        assert main(["bench", "-i", str(routing_file), "--algos", "ola,dpa",
+                     "--eps", "0.1,0.2", "--trials", "2", "--jobs", "1",
+                     "-o", str(tmp_path / "res.csv")]) == 0
+        assert calls == [150]
+
     def test_unknown_algo_is_data_error(self, secretary_file, capsys):
         assert main(["bench", "-i", str(secretary_file), "--algos", "magic",
                      "--eps", "0.1", "--trials", "1", "--jobs", "1"]) == 3
@@ -369,14 +391,32 @@ def test_module_entry_point_runs():
 
 
 def test_overflowing_rewards_are_a_data_error_under_warnings_as_errors(tmp_path):
-    """Rewards near the float64 maximum overflow the LP: exit 3, not an infinite answer."""
+    """Rewards whose sum overflows float64 are bad input at every boundary: exit 3, one line."""
     def onlinelp(*argv):
         return subprocess.run([sys.executable, "-W", "error", "-m", "onlinelp", *argv],
                               capture_output=True, text=True)
 
+    def data_error(proc):
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1 and "overflow" in proc.stderr, proc.stderr
+
     huge = tmp_path / "huge.json"
-    assert onlinelp("gen", "--kind", "routing", "--m", "2", "--n", "50", "--q", "0.5",
-                    "--capacity", "5", "--reward-hi", "1e308", "-o", str(huge)).returncode == 0
-    proc = onlinelp("run", "-i", str(huge), "--algo", "dpa", "--eps", "0.2")
-    assert proc.returncode == 3
-    assert "overflows" in proc.stderr and "Traceback" not in proc.stderr
+    data_error(onlinelp("gen", "--kind", "routing", "--m", "2", "--n", "50", "--q", "0.5",
+                        "--capacity", "5", "--reward-hi", "1e308", "-o", str(huge)))
+    assert not huge.exists()
+    # Each reward is finite, their sum is not: greedy_baseline solves no LP,
+    # so only the reader stands between these and an infinite objective.
+    huge.write_text(json.dumps({"m": 1, "n": 2, "b": [1.0], "columns": [
+        {"pi": 1e308, "a": [0.5]}, {"pi": 1e308, "a": [0.5]}]}))
+    for algo in ("greedy_baseline", "dpa"):
+        data_error(onlinelp("run", "-i", str(huge), "--algo", algo, "--eps", "0.5"))
+
+
+def test_unallocatable_size_is_a_data_error(tmp_path, capsys):
+    """numpy refuses a 711 PiB array outright (MemoryError) before touching any memory."""
+    out = tmp_path / "big.json"
+    assert main(["gen", "--kind", "routing", "--n", str(10 ** 11), "--m", str(10 ** 6),
+                 "--q", "0.5", "--capacity", "5", "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("onlinelp: error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -1,10 +1,13 @@
-"""Property tests of the instance reader, driven by Hypothesis.
+"""Property tests of the instance reader and the command line, driven by Hypothesis.
 
-Any text either loads as an instance or raises ``ParseError``, and the
-writer's output reads back bit for bit.  Examples are derandomized and no
-example database is kept, so a run is reproducible.
+Any text either loads as an instance or raises ``ParseError``, the writer's
+output reads back bit for bit, and a malformed command line ends in exit 2
+or 3 with one line on stderr, never a traceback.  Examples are derandomized
+and no example database is kept, so a run is reproducible.
 """
 
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -17,8 +20,9 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 from hypothesis.configuration import set_hypothesis_home_dir  # noqa: E402
 
-from onlinelp import Instance, MultiInstance, ParseError  # noqa: E402
+from onlinelp import Instance, MultiInstance, ParseError, gen_routing, save_instance  # noqa: E402
 from onlinelp import instance_from_json, instance_to_json  # noqa: E402
+from onlinelp.cli import main  # noqa: E402
 
 from test_model import BEYOND_PARSER  # noqa: E402
 
@@ -105,9 +109,10 @@ def test_reader_returns_an_instance_or_raises_parse_error(text):
     assert isinstance(inst, (Instance, MultiInstance))
 
 
-# Reals the format allows: finite, rewards >= 0, consumption in [0, 1],
-# capacities > 0; subnormals and the extremes of float64 included.
-rewards = st.floats(min_value=0.0, max_value=np.finfo(np.float64).max)
+# Reals the format allows: finite, rewards >= 0 with a finite sum, consumption
+# in [0, 1], capacities > 0; subnormals and the extremes of float64 included.
+# An instance below has at most 12 rewards, so each may reach max / 16.
+rewards = st.floats(min_value=0.0, max_value=np.finfo(np.float64).max / 16)
 usage = st.floats(min_value=0.0, max_value=1.0)
 capacities = st.floats(min_value=0.0, exclude_min=True, max_value=math.inf, exclude_max=True)
 
@@ -138,3 +143,108 @@ def test_written_instance_reads_back_bit_for_bit(inst):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
     assert back.meta == (inst.meta or None)
+
+
+# Flag values that break each kind of flag: argparse rejects most (exit 2);
+# a generator parameter out of its range or an unusable file is bad input
+# data (exit 3).
+INTS = ["1.5", "abc", "", "1e3", "0x10", "nan"]
+EPS = ["0", "1", "-0.5", "1.5", "nan", "inf", "abc", "", "1e-400", "0.1.2"]
+COUNTS = ["0", "-2", "1.0", "abc", ""]
+EXTRAS = ["--wat", "stray", "-x", "--eps=", "--jobs=0"]
+
+
+@pytest.fixture(scope="module")
+def cli_flags(tmp_path_factory):
+    """Per command, its flags as (flag, valid value, presence, values that break it).
+
+    Presence is "required" (leaving the flag out is a fault), "kept" (always
+    given) or "optional".  The valid values make a command line that exits 0;
+    ``bench`` always runs inline (``--jobs 1``) over at most 2 trials.
+    """
+    tmp = tmp_path_factory.mktemp("cli-fuzz")
+    inst = tmp / "routing.json"
+    save_instance(gen_routing(m=2, n=40, q=0.5, capacity=6.0, seed=1), inst)
+    bad = {name: tmp / name for name in ("not-json", "not-utf8", "negative", "overflow")}
+    bad["not-json"].write_text("{not json")
+    bad["not-utf8"].write_bytes(b"\xff\xfe{}")
+    for name, pi in (("negative", -1.0), ("overflow", 1e308)):
+        bad[name].write_text(json.dumps({"m": 1, "n": 2, "b": [1.0], "columns": [
+            {"pi": pi, "a": [0.5]}, {"pi": 1e308, "a": [0.5]}]}))
+    inputs = [str(path) for path in bad.values()] + [str(tmp / "missing.json"), str(tmp)]
+    out, unwritable = str(tmp / "out"), str(tmp / "no-such-dir" / "out")
+    source = ("-i", str(inst), "required", inputs)
+    return {
+        "gen": [("--kind", "routing", "required", ["nope", ""]),
+                ("--m", "2", "required", INTS + ["0", "-1"]),
+                ("--n", "20", "required", INTS + ["0"]),
+                ("--q", "0.5", "required", ["abc", "0", "1.5", "nan"]),
+                ("--capacity", "4", "required", ["abc", "0", "-1", "nan", "inf"]),
+                ("--seed", "1", "optional", INTS),
+                ("--check-eps", "0.2", "optional", EPS),
+                ("-o", out, "required", [unwritable])],
+        "run": [source,
+                ("--algo", "dpa", "required", ["magic", "DPA", ""]),
+                ("--eps", "0.2", "optional", EPS),
+                ("--shuffle-seed", "3", "optional", INTS),
+                ("--decisions-out", out, "optional", [unwritable])],
+        "bench": [source,
+                  ("--algos", "ola,greedy_baseline", "optional", ["magic", ",", "ola,magic"]),
+                  ("--eps", "0.1,0.2", "optional", EPS + [",", "0.1,0", "0.1,abc"]),
+                  ("--trials", "2", "optional", COUNTS),
+                  ("--jobs", "1", "kept", COUNTS),
+                  ("--base-seed", "5", "optional", INTS),
+                  ("-o", out, "optional", [unwritable])],
+        "sample-lp": [source,
+                      ("--eps", "0.2", "required", EPS),
+                      ("--seed", "1", "optional", INTS),
+                      ("-o", out, "optional", [unwritable])],
+        "check": [source,
+                  ("--eps", "0.2", "required", EPS),
+                  ("--variant", "dpa", "optional", ["nope", ""])],
+    }
+
+
+def _main(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def test_every_fuzzed_command_line_is_valid_before_it_is_broken(cli_flags):
+    for command, flags in cli_flags.items():
+        argv = [command] + [tok for flag, value, _, _ in flags for tok in (flag, value)]
+        assert _main(argv) == (0, ""), argv
+
+
+@st.composite
+def broken_command_lines(draw, cli_flags):
+    """A valid command line with one fault: a bad value, a missing required
+    flag, a flag without its value, an unknown token, or an unknown command."""
+    command = draw(st.sampled_from(sorted(cli_flags)))
+    flags = [f for f in cli_flags[command] if f[2] != "optional" or draw(st.booleans())]
+    flags = draw(st.permutations(flags))
+    args = [[flag, value] for flag, value, _, _ in flags]
+    fault = draw(st.sampled_from(["value", "drop", "bare", "extra", "command"]))
+    i = draw(st.integers(0, len(flags) - 1))
+    if fault == "value":
+        args[i][1] = draw(st.sampled_from(flags[i][3]))
+    elif fault == "drop":
+        del args[draw(st.sampled_from([j for j, f in enumerate(flags) if f[2] == "required"]))]
+    elif fault == "bare":
+        del args[i][1]
+    elif fault == "extra":
+        args.insert(i, [draw(st.sampled_from(EXTRAS) | texts(4).map("--zz".__add__))])
+    else:
+        command = draw(st.sampled_from(["", "Gen", "runs", "--wat", "bench-"]))
+    return [command] + [tok for pair in args for tok in pair]
+
+
+@settings(FUZZ, max_examples=150)
+@given(st.data())
+def test_malformed_command_line_exits_2_or_3_without_a_traceback(cli_flags, data):
+    argv = data.draw(broken_command_lines(cli_flags))
+    code, err = _main(argv)
+    assert code in (2, 3), (argv, code, err)
+    assert err.startswith("onlinelp") and err.count("\n") == 1, (argv, err)

@@ -17,6 +17,7 @@ from onlinelp import (
     lemma_kkt_oracle,
     lemma_sample_opt_oracle,
     offline_opt,
+    run_grid,
     run_trials,
     shuffle,
 )
@@ -79,6 +80,29 @@ class TestGreedyBaseline:
         )
 
 
+def inline_pool(monkeypatch) -> list[int]:
+    """Replace the process pool by one that runs each task inline; returns the sizes asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    return sizes
+
+
 class TestRunTrials:
     def test_single_trial_stats_collapse(self):
         stats = run_trials(routing(), "dpa", 0.15, trials=1, base_seed=5)
@@ -108,26 +132,7 @@ class TestRunTrials:
         assert key(serial.records) == key(parallel.records)
 
     def test_pool_never_larger_than_trials(self, monkeypatch):
-        sizes = []
-
-        class InlinePool:
-            """Records the pool size it is asked for and runs each task inline."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        sizes = inline_pool(monkeypatch)
         stats = run_trials(routing(n=60), "ola", 0.2, trials=3, jobs=64)
         assert sizes == [3]
         assert [r.trial for r in stats.records] == [1, 2, 3]
@@ -157,6 +162,45 @@ class TestRunTrials:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_trials(routing(), "dpa", 0.1, trials=0)
+
+
+class TestRunGrid:
+    CELLS = [("ola", 0.2), ("dpa", 0.1), ("greedy_baseline", 0.1)]
+
+    @staticmethod
+    def key(stats):
+        return (stats.algo, stats.eps, stats.opt,
+                [(r.trial, r.seed, r.objective, r.opt, r.ratio, r.violations)
+                 for r in stats.records])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cells_equal_their_own_run_trials(self, jobs):
+        inst = routing(seed=5, n=80, capacity=10.0)
+        grid = run_grid(inst, self.CELLS, trials=3, base_seed=11, jobs=jobs)
+        alone = [run_trials(inst, algo, eps, trials=3, base_seed=11) for algo, eps in self.CELLS]
+        assert [self.key(s) for s in grid] == [self.key(s) for s in alone]
+
+    @pytest.mark.parametrize("jobs, size", [(2, 2), (4, 4), (64, 6)])
+    def test_one_pool_for_the_whole_grid(self, monkeypatch, jobs, size):
+        sizes = inline_pool(monkeypatch)
+        grid = run_grid(routing(n=60), self.CELLS[:2], trials=3, jobs=jobs)
+        assert sizes == [size]  # min(jobs, cells * trials)
+        assert [[r.trial for r in s.records] for s in grid] == [[1, 2, 3], [1, 2, 3]]
+
+    def test_bad_grid_fails_before_solving(self, monkeypatch):
+        monkeypatch.setattr(harness, "offline_opt", None)  # calling it would raise TypeError
+        with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
+            run_grid(routing(), [("ola", 0.1), ("magic", 0.1)], trials=1)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            run_grid(routing(), self.CELLS, trials=0)
+
+    def test_a_failing_task_fails_the_grid(self):
+        # n * eps = 0.06 < 1: every dpa trial raises in its worker
+        with pytest.raises(DegenerateWindow):
+            run_grid(routing(n=60), [("ola", 0.2), ("dpa", 0.001)], trials=2, jobs=2)
+
+    def test_empty_grid(self):
+        assert run_grid(routing(), [], trials=2, jobs=2) == []
 
 
 def test_every_algorithm_returns_a_run_result():

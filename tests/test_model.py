@@ -78,6 +78,22 @@ class TestValidation:
             Instance(m=1, n=1, b=np.array([0.0]), rewards=np.array([1.0]),
                      consumption=np.array([[0.5]]))
 
+    def test_instance_rejects_rewards_whose_sum_overflows(self):
+        big = np.finfo(np.float64).max
+        with np.errstate(over="raise"):
+            with pytest.raises(ValueError, match="overflow"):
+                Instance(m=1, n=2, b=np.ones(1), rewards=np.full(2, big),
+                         consumption=np.ones((2, 1)))
+            with pytest.raises(ValueError, match="overflow"):
+                MultiInstance(m=1, n=1, k=2, b=np.ones(1), rewards=np.full((1, 2), big),
+                              consumption=np.ones((1, 1, 2)))
+            Instance(m=1, n=2, b=np.ones(1), rewards=np.full(2, big / 2),
+                     consumption=np.ones((2, 1)))
+        text = json.dumps({"m": 1, "n": 2, "b": [1.0], "columns": [
+            {"pi": big, "a": [1.0]}, {"pi": big, "a": [1.0]}]})
+        with pytest.raises(ParseError, match="overflow"):
+            instance_from_json(text)
+
     def test_dual_price_nonnegative(self):
         with pytest.raises(ValueError):
             DualPrice(p=np.array([-0.01]))
