@@ -50,14 +50,14 @@ def _eps_value(text: str) -> float:
     return eps
 
 
-def _positive_int(name: str, text: str) -> int:
-    """An integer flag value of at least 1; bind ``name`` with ``partial``."""
+def _int_at_least(name: str, low: int, text: str) -> int:
+    """An integer flag value of at least ``low``; bind ``name`` and ``low`` with ``partial``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{name} must be >= 1, got {text}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {text}")
     return value
 
 
@@ -66,6 +66,15 @@ def _name_list(text: str) -> list[str]:
     if not toks:
         raise argparse.ArgumentTypeError("empty list")
     return toks
+
+
+def _algo_list(text: str) -> list[str]:
+    algos = _name_list(text)
+    for algo in algos:
+        if algo not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {algo!r} (choose from {', '.join(ALGORITHMS)})")
+    return algos
 
 
 def _eps_grid(text: str) -> list[float]:
@@ -83,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--kind", required=True, choices=list(GENERATORS))
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=partial(_int_at_least, "seed", 0), default=0)
     gen.add_argument("-o", "--output", required=True)
     gen.add_argument("--check-eps", type=_eps_value, default=None,
                      help="also print capacity-condition checks at this eps")
@@ -97,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("-i", "--input", required=True)
     run.add_argument("--algo", required=True, choices=ALGORITHMS)
     run.add_argument("--eps", type=_eps_value, default=0.1)
-    run.add_argument("--shuffle-seed", type=int, default=None,
+    run.add_argument("--shuffle-seed", type=partial(_int_at_least, "shuffle-seed", 0),
+                     default=None,
                      help="shuffle the arrival order first with this seed")
     run.add_argument("--decisions-out", default=None,
                      help="also write the 0/1 (or option-index) vector as JSON")
@@ -105,15 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="competitive-ratio trials over a grid")
     bench.add_argument("-i", "--input", required=True)
-    bench.add_argument("--algos", type=_name_list, default=["ola", "dpa"],
+    bench.add_argument("--algos", type=_algo_list, default=["ola", "dpa"],
                        help="comma-separated policy names")
     bench.add_argument("--eps", type=_eps_grid, default=[0.05, 0.1, 0.2],
                        help="comma-separated eps grid")
-    bench.add_argument("--trials", type=partial(_positive_int, "trials"), default=20)
-    bench.add_argument("--base-seed", type=int, default=0)
+    bench.add_argument("--trials", type=partial(_int_at_least, "trials", 1), default=20)
+    bench.add_argument("--base-seed", type=partial(_int_at_least, "base-seed", 0), default=0)
     bench.add_argument("-o", "--output", default=None,
                        help="CSV path (stdout when omitted)")
-    bench.add_argument("--jobs", type=partial(_positive_int, "jobs"),
+    bench.add_argument("--jobs", type=partial(_int_at_least, "jobs", 1),
                        default=os.cpu_count() or 1,
                        help="worker processes shared by the whole (algo, eps, trial) grid")
     bench.add_argument("--timings", action="store_true",
@@ -124,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="approximate a large LP by column sampling")
     slp.add_argument("-i", "--input", required=True)
     slp.add_argument("--eps", type=_eps_value, required=True)
-    slp.add_argument("--seed", type=int, default=0)
+    slp.add_argument("--seed", type=partial(_int_at_least, "seed", 0), default=0)
     slp.add_argument("-o", "--output", default=None,
                      help="write the solution vector and report as JSON")
     slp.set_defaults(func=cmd_sample_lp)

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OnlineLpError",
+    "DimensionMismatch",
+    "BadSpec",
+    "ParseError",
+    "DegenerateWindow",
+    "StreamExhausted",
+    "NonpositiveReward",
+    "AllZeroBids",
+    "InternalError",
+    "CycleLimitExceeded",
+]
+
 
 class OnlineLpError(Exception):
     """Base class for all errors raised by this package."""

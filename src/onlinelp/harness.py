@@ -165,6 +165,8 @@ def run_grid(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     for algo, _ in cells:
         if algo not in ALGORITHMS:
             raise _unknown(algo)

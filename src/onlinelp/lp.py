@@ -105,7 +105,6 @@ __all__ = [
     "solve_boxed_lp",
     "verify_complementary_slackness",
     "perturb_rewards",
-    "perturb_rewards_multi",
 ]
 
 # Per-column classification codes in LpSolution.reduced_info.
@@ -633,5 +632,6 @@ def perturb_rewards(
     )
 
 
-# The multi-choice name, kept for callers: perturb_rewards takes either kind.
+# Benchmark-only: the multi-choice name of perturb_rewards, which takes either
+# instance kind.
 perturb_rewards_multi = perturb_rewards

@@ -6,12 +6,12 @@ matrix ``G_t`` (m rows by k options); at most one option may be taken.
 schedule, the walk, the price rule, the capacity guard, the prefix LP
 builder and ``multi_allocation_rule`` are written there once.
 
-This module exists because the benchmark traces and calls the program at
-these attributes: ``flatten_lp`` (the multi-choice name of
-``engine.sample_lp``), ``learn_price_multi``, ``run_dpa_multi`` (the same
-``RunResult`` as ``engine.run_dpa``, choice for choice) and the
-``solve_boxed_lp`` that ``learn_price_multi`` looks up here at each call.
-Each stays until the benchmark moves to the ``engine`` names.
+``run_dpa_multi`` is the one public name here: the same ``RunResult`` as
+``engine.run_dpa``, choice for choice.  The module also keeps the
+attributes the benchmark traces and calls the program at, off the public
+surface: ``flatten_lp`` (the multi-choice name of ``engine.sample_lp``),
+``learn_price_multi`` and the ``solve_boxed_lp`` that it looks up here at
+each call.  Each stays until the benchmark moves to the ``engine`` names.
 """
 
 from __future__ import annotations
@@ -20,11 +20,7 @@ from .engine import dual_price, run_epochs, sample_lp
 from .lp import solve_boxed_lp
 from .model import DualPrice, MultiInstance, RunResult
 
-__all__ = [
-    "flatten_lp",
-    "learn_price_multi",
-    "run_dpa_multi",
-]
+__all__ = ["run_dpa_multi"]
 
 # The multi-choice name of the one prefix/offline LP builder, which takes
 # either instance kind.

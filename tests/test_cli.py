@@ -295,9 +295,13 @@ class TestBench:
                      "-o", str(tmp_path / "res.csv")]) == 0
         assert calls == [150]
 
-    def test_unknown_algo_is_data_error(self, secretary_file, capsys):
-        assert main(["bench", "-i", str(secretary_file), "--algos", "magic",
-                     "--eps", "0.1", "--trials", "1", "--jobs", "1"]) == 3
+    def test_unknown_algo_is_usage_error(self, tmp_path, capsys):
+        # checked when the flags are parsed, before the (missing) input is opened
+        for algos in ("magic", "ola,magic"):
+            assert main(["bench", "-i", str(tmp_path / "missing.json"), "--algos", algos,
+                         "--eps", "0.1", "--trials", "1", "--jobs", "1"]) == 2
+            err = capsys.readouterr().err
+            assert "argument --algos: invalid choice: 'magic'" in err and err.count("\n") == 1
 
 
 class TestSampleLp:
@@ -375,6 +379,17 @@ class TestUsageErrors:
         for trials in ("0", "-1"):
             assert main(["bench", "-i", str(secretary_file), "--trials", trials]) == 2
             assert "trials must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "secretary", "--n", "10", "--k", "2", "-o", "x.json", "--seed", "-1"],
+        ["run", "-i", "x.json", "--algo", "dpa", "--shuffle-seed", "-1"],
+        ["bench", "-i", "x.json", "--base-seed", "-1"],
+        ["sample-lp", "-i", "x.json", "--eps", "0.1", "--seed", "-1"],
+    ])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        flag = argv[-2]
+        assert main(argv) == 2
+        assert f"argument {flag}: {flag[2:]} must be >= 0, got -1" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -149,6 +149,7 @@ def test_written_instance_reads_back_bit_for_bit(inst):
 # a generator parameter out of its range or an unusable file is bad input
 # data (exit 3).
 INTS = ["1.5", "abc", "", "1e3", "0x10", "nan"]
+SEEDS = INTS + ["-1"]
 EPS = ["0", "1", "-0.5", "1.5", "nan", "inf", "abc", "", "1e-400", "0.1.2"]
 COUNTS = ["0", "-2", "1.0", "abc", ""]
 EXTRAS = ["--wat", "stray", "-x", "--eps=", "--jobs=0"]
@@ -180,24 +181,24 @@ def cli_flags(tmp_path_factory):
                 ("--n", "20", "required", INTS + ["0"]),
                 ("--q", "0.5", "required", ["abc", "0", "1.5", "nan"]),
                 ("--capacity", "4", "required", ["abc", "0", "-1", "nan", "inf"]),
-                ("--seed", "1", "optional", INTS),
+                ("--seed", "1", "optional", SEEDS),
                 ("--check-eps", "0.2", "optional", EPS),
                 ("-o", out, "required", [unwritable])],
         "run": [source,
                 ("--algo", "dpa", "required", ["magic", "DPA", ""]),
                 ("--eps", "0.2", "optional", EPS),
-                ("--shuffle-seed", "3", "optional", INTS),
+                ("--shuffle-seed", "3", "optional", SEEDS),
                 ("--decisions-out", out, "optional", [unwritable])],
         "bench": [source,
                   ("--algos", "ola,greedy_baseline", "optional", ["magic", ",", "ola,magic"]),
                   ("--eps", "0.1,0.2", "optional", EPS + [",", "0.1,0", "0.1,abc"]),
                   ("--trials", "2", "optional", COUNTS),
                   ("--jobs", "1", "kept", COUNTS),
-                  ("--base-seed", "5", "optional", INTS),
+                  ("--base-seed", "5", "optional", SEEDS),
                   ("-o", out, "optional", [unwritable])],
         "sample-lp": [source,
                       ("--eps", "0.2", "required", EPS),
-                      ("--seed", "1", "optional", INTS),
+                      ("--seed", "1", "optional", SEEDS),
                       ("-o", out, "optional", [unwritable])],
         "check": [source,
                   ("--eps", "0.2", "required", EPS),

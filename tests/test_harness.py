@@ -163,6 +163,11 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(routing(), "dpa", 0.1, trials=0)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_must_be_positive(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_trials(routing(), "dpa", 0.1, trials=1, jobs=jobs)
+
 
 class TestRunGrid:
     CELLS = [("ola", 0.2), ("dpa", 0.1), ("greedy_baseline", 0.1)]

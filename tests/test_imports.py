@@ -23,10 +23,10 @@ def _relative_imports(path: Path) -> list[ast.ImportFrom]:
 
 def _private_imports(path: Path) -> list[str]:
     return [
-        f"{path.name}: from .{node.module} import {alias.name}"
+        f"{path.name}: from .{node.module or ''} import {alias.name}"
         for node in _relative_imports(path)
         for alias in node.names
-        if node.module.startswith("_") or alias.name.startswith("_")
+        if (node.module or "").startswith("_") or alias.name.startswith("_")
     ]
 
 
@@ -79,3 +79,26 @@ def test_one_schedule():
     for name in ("h_factor", "geometric_schedule"):
         calls = [site for path in modules for site in _calls(path, name)]
         assert len(calls) == 1, (name, calls)
+
+
+def test_package_surface_is_the_modules_all():
+    """The package lists no names of its own: it re-exports each module's __all__."""
+    from onlinelp import engine, errors, generators, harness, lp, model, multi
+
+    modules = (errors, model, lp, engine, multi, generators, harness)
+    expected = [name for module in modules for name in module.__all__]
+    assert onlinelp.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    assert [name for name in expected if not hasattr(onlinelp, name)] == []
+
+
+def test_benchmark_aliases_stay_off_the_public_surface():
+    """The benchmark's alias attributes exist on their modules, not on the package."""
+    from onlinelp import cli, harness, lp, multi
+
+    assert multi.flatten_lp is onlinelp.sample_lp and harness.flatten_lp is onlinelp.sample_lp
+    assert lp.perturb_rewards_multi is onlinelp.perturb_rewards
+    assert cli.run_trials is onlinelp.run_trials
+    assert callable(multi.learn_price_multi)
+    for name in ("flatten_lp", "learn_price_multi", "perturb_rewards_multi"):
+        assert not hasattr(onlinelp, name), name

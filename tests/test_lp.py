@@ -13,9 +13,9 @@ from onlinelp import (
     GenSpec,
     Instance,
     InternalError,
-    flatten_lp,
     generate,
     perturb_rewards,
+    sample_lp,
     solve_boxed_lp,
     verify_complementary_slackness,
 )
@@ -171,8 +171,8 @@ def _cs_identity_sides(lp, sol):
 def test_duality_gap_is_the_sum_of_cs_products():
     """d'y + sum u - c'x = y'slack + sum_t u_t (1 - fill_t) + sum_j (u_t - rc_j) x_j."""
     rng = np.random.default_rng(1)
-    offline = [flatten_lp(generate(GenSpec("routing", 0, dict(m=5, n=2000, q=0.5, capacity=200.0)))),
-               flatten_lp(generate(GenSpec("adwords", 0, dict(n=800, m=3))))]
+    offline = [sample_lp(generate(GenSpec("routing", 0, dict(m=5, n=2000, q=0.5, capacity=200.0)))),
+               sample_lp(generate(GenSpec("adwords", 0, dict(n=800, m=3))))]
     cases = list(_solved_lps()) + [(lp, solve_boxed_lp(lp)) for lp in offline]
     for lp, sol in cases:
         for cand in (sol, _perturbed(sol, rng)):
@@ -285,7 +285,7 @@ def test_failed_certificate_raises(monkeypatch):
 def test_iterations_bounded_on_offline_routing():
     """Iterations grow with m, not n: at most 10 m on 4000 columns."""
     inst = generate(GenSpec("routing", 0, dict(m=5, n=4000, q=0.5, capacity=400.0)))
-    lp = flatten_lp(inst)
+    lp = sample_lp(inst)
     sol = solve_boxed_lp(lp)
     assert sol.stats.iterations <= 10 * inst.m
     assert sol.pivots == sol.stats.iterations + sol.stats.flips
@@ -298,13 +298,13 @@ def test_one_long_step_solves_the_secretary_lp():
     """m = 1: one sort of the breakpoints passes every flip the slope allows."""
     inst = generate(GenSpec("secretary", 101, dict(n=10_000, k=400, reward_dist="heavy_tail",
                                                    sigma=3.0)))
-    assert solve_boxed_lp(flatten_lp(inst)).stats.iterations <= 3
+    assert solve_boxed_lp(sample_lp(inst)).stats.iterations <= 3
 
 
 def test_pivot_count_bounded_on_offline_adwords():
     """At most 200 basis exchanges on 800 groups of three (flips count apart)."""
     inst = generate(GenSpec("adwords", 0, dict(n=800, m=3)))
-    assert solve_boxed_lp(flatten_lp(inst)).stats.iterations <= 200
+    assert solve_boxed_lp(sample_lp(inst)).stats.iterations <= 200
 
 
 class TestGroupedLp:

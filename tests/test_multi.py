@@ -10,10 +10,8 @@ from onlinelp import (
     MultiColumn,
     MultiInstance,
     adwords_to_multi,
-    flatten_lp,
     generate,
     greedy_baseline,
-    learn_price_multi,
     lemma_kkt_oracle,
     multi_allocation_rule,
     offline_opt,
@@ -24,6 +22,7 @@ from onlinelp import (
     shuffle,
     solve_boxed_lp,
 )
+from onlinelp.multi import learn_price_multi
 
 
 def random_multi(seed, n=40, m=2, k=3, b_scale=4.0):
@@ -80,13 +79,13 @@ class TestRule:
 class TestFlatten:
     def test_k1_has_no_simplex_rows(self):
         inst = random_multi(0, k=1)
-        lp = flatten_lp(inst)
+        lp = sample_lp(inst)
         assert lp.A.shape == (inst.m, inst.n)
         assert lp.k == 1
 
     def test_k3_groups_options_per_arrival(self):
         inst = random_multi(1, n=12, k=3)
-        lp = flatten_lp(inst)
+        lp = sample_lp(inst)
         # only the resource rows: each arrival's options form one implicit group
         assert lp.A.shape == (inst.m, 12 * 3)
         assert lp.k == 3
@@ -99,14 +98,14 @@ class TestFlatten:
 
     def test_prefix_rhs_shrinks(self):
         inst = random_multi(2, n=20, k=2)
-        lp = flatten_lp(inst, ell=5, shrink=0.2)
+        lp = sample_lp(inst, ell=5, shrink=0.2)
         np.testing.assert_allclose(lp.d, 0.8 * 0.25 * inst.b)
         assert lp.A.shape == (inst.m, 10)
         assert lp.k == 2
 
     def test_simplex_rows_bind_at_most_one_per_arrival(self):
         inst = random_multi(3, n=15, k=3, b_scale=30.0)  # loose resources
-        sol = solve_boxed_lp(flatten_lp(inst))
+        sol = solve_boxed_lp(sample_lp(inst))
         x = sol.x.reshape(15, 3)
         assert np.all(x.sum(axis=1) <= 1.0 + 1e-9)
 
@@ -160,7 +159,7 @@ class TestRunDpaMulti:
             for eta in (0.0, None):
                 assert lemma_kkt_oracle(inst, eta, seed) == lemma_kkt_oracle(minst, eta, seed)
             for ell, shrink in ((n, 0.0), (n // 3, 0.3)):
-                lp, flat = sample_lp(inst, ell, shrink), flatten_lp(minst, ell, shrink)
+                lp, flat = sample_lp(inst, ell, shrink), sample_lp(minst, ell, shrink)
                 for name in ("c", "A", "d"):
                     assert getattr(lp, name).tobytes() == getattr(flat, name).tobytes()
             (v, x, p), (vm, xm, pm) = offline_opt(inst), offline_opt(minst)
