@@ -360,10 +360,15 @@ class OnlineState:
 
     @classmethod
     def start(cls, m: int, n: int, b, eps: float, mode: str = "dpa") -> "OnlineState":
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"n must be an integer >= 1, got {n!r}")
         points = schedule(n, eps, mode)
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (m,):
             raise DimensionMismatch(f"b has shape {b.shape}, expected ({m},)")
+        # NaN fails both comparisons.
+        if b.size == 0 or not np.all((b > 0.0) & (b < np.inf)):
+            raise ValueError(f"capacities b must be one or more finite, positive values, got {b}")
         return cls(n=n, b=b.copy(), schedule=points, remaining=b.copy())
 
     def _learn(self, ell: int, shrink: float) -> DualPrice:

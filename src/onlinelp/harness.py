@@ -134,7 +134,8 @@ class TrialStats:
         return sum(r.violations for r in self.records)
 
 
-def _one_trial(inst, algo: str, eps: float, trial: int, seed: int, opt: float) -> TrialRecord:
+def _one_trial(task) -> TrialRecord:
+    inst, algo, eps, trial, seed, opt = task
     shuffled = shuffle(inst, seed)
     t0 = time.perf_counter()
     result = dispatch(shuffled, algo, eps)
@@ -172,22 +173,16 @@ def run_grid(
             raise _unknown(algo)
     opt, _, _ = offline_opt(inst)
     grid = [TrialStats(algo=algo, eps=eps, opt=opt) for algo, eps in cells]
-    tasks = [(stats, r, base_seed + r) for stats in grid for r in range(1, trials + 1)]
+    tasks = [(inst, stats.algo, stats.eps, r, base_seed + r, opt)
+             for stats in grid for r in range(1, trials + 1)]
     workers = min(jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_one_trial, inst, stats.algo, stats.eps, r, seed, opt)
-                       for stats, r, seed in tasks]
-            try:
-                records = [f.result() for f in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)  # a failed task ends the grid
-                raise
+            records = list(pool.map(_one_trial, tasks))  # a failed task cancels the rest
     else:
-        records = [_one_trial(inst, stats.algo, stats.eps, r, seed, opt)
-                   for stats, r, seed in tasks]
-    for (stats, _, _), record in zip(tasks, records):
-        stats.records.append(record)
+        records = list(map(_one_trial, tasks))
+    for i, stats in enumerate(grid):
+        stats.records = records[i * trials:(i + 1) * trials]
     return grid
 
 

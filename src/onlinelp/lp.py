@@ -619,8 +619,8 @@ def perturb_rewards(
     rewards = inst.rewards
     if eta is None:
         eta = 1e-9 * (float(rewards.max()) if rewards.size else 0.0)
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if not 0.0 <= eta < np.inf:  # NaN fails it too
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     if eta == 0.0:
         rewards, eta = rewards.copy(), 0.0
     else:

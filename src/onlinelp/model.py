@@ -38,9 +38,14 @@ __all__ = [
 ]
 
 
+# The format spec of every real the package writes: 17 significant digits,
+# enough for a float64 value to survive a write/read cycle bit-exactly.
+_REAL = ".17g"
+
+
 def real(x: float) -> str:
     """A float with 17 significant digits: enough to round-trip float64."""
-    return format(float(x), ".17g")
+    return format(float(x), _REAL)
 
 
 def onehot(choices, k: int) -> np.ndarray:
@@ -243,49 +248,46 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-# Reals are written with 17 significant digits, enough for float64 values to
-# survive a write/read cycle bit-exactly, and the writer is deterministic so
-# regenerating a file yields identical bytes.
+# The writer is deterministic, so regenerating a file yields identical bytes.
+# Each arrival is one line, filled from one row of the table of its rewards
+# and consumption by the line template of its format.
+
+_BLOCK = 4096  # table rows converted to Python floats at a time, bounding their memory
 
 
-def _real_list(xs) -> str:
-    return "[" + ", ".join(real(v) for v in xs) + "]"
+def _reals(count: int) -> str:
+    """The template of a JSON list of ``count`` reals."""
+    return "[" + ", ".join(["{:" + _REAL + "}"] * count) + "]"
+
+
+def _json_chunks(inst: Instance | MultiInstance) -> Iterator[str]:
+    """The interchange JSON text of an instance, one block of arrivals at a time."""
+    n, m = inst.n, inst.m
+    if isinstance(inst, MultiInstance):
+        k_line = f'  "k": {inst.k},\n'
+        line = '    {{"f": ' + _reals(inst.k) + ', "G": [' + ", ".join([_reals(inst.k)] * m) + "]}}"
+    else:
+        k_line = ""
+        line = '    {{"pi": {:' + _REAL + '}, "a": ' + _reals(m) + "}}"
+    b = _reals(m).format(*inst.b.tolist())
+    yield f'{{\n  "m": {m},\n  "n": {n},\n{k_line}  "b": {b},\n  "columns": [\n'
+    table = np.concatenate((inst.rewards.reshape(n, -1), inst.consumption.reshape(n, -1)), axis=1)
+    for start in range(0, n, _BLOCK):
+        rows = table[start:start + _BLOCK].tolist()
+        yield (",\n" if start else "") + ",\n".join([line.format(*row) for row in rows])
+    meta = ',\n  "meta": ' + json.dumps(inst.meta, sort_keys=True) if inst.meta else ""
+    yield "\n  ]" + meta + "\n}\n"
+
+
+def instance_to_json(inst: Instance | MultiInstance) -> str:
+    """Serialize an instance to the interchange JSON format."""
+    return "".join(_json_chunks(inst))
 
 
 def _holds_str_or_bool(x) -> bool:
     if isinstance(x, list):
         return any(map(_holds_str_or_bool, x))
     return isinstance(x, (str, bool))
-
-
-def instance_to_json(inst: Instance | MultiInstance) -> str:
-    """Serialize an instance to the interchange JSON format."""
-    lines = ["{"]
-    lines.append(f'  "m": {inst.m},')
-    lines.append(f'  "n": {inst.n},')
-    if isinstance(inst, MultiInstance):
-        lines.append(f'  "k": {inst.k},')
-    lines.append(f'  "b": {_real_list(inst.b)},')
-    col_lines = []
-    if isinstance(inst, MultiInstance):
-        for t in range(inst.n):
-            g_rows = ", ".join(_real_list(inst.consumption[t, i]) for i in range(inst.m))
-            col_lines.append(
-                '    {"f": ' + _real_list(inst.rewards[t]) + ', "G": [' + g_rows + "]}"
-            )
-    else:
-        for t in range(inst.n):
-            col_lines.append(
-                '    {"pi": ' + real(inst.rewards[t])
-                + ', "a": ' + _real_list(inst.consumption[t]) + "}"
-            )
-    body = ",\n".join(col_lines)
-    meta_suffix = ""
-    if inst.meta:
-        meta_suffix = ',\n  "meta": ' + json.dumps(inst.meta, sort_keys=True)
-    lines.append('  "columns": [\n' + body + "\n  ]" + meta_suffix)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def instance_from_json(text: str) -> Instance | MultiInstance:
@@ -348,7 +350,7 @@ def instance_from_json(text: str) -> Instance | MultiInstance:
 
 def save_instance(inst: Instance | MultiInstance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(instance_to_json(inst))
+        fh.writelines(_json_chunks(inst))
 
 
 def load_instance(path) -> Instance | MultiInstance:

@@ -87,9 +87,19 @@ class TestHFactor:
     (lambda: step(OnlineState.start(2, 10, np.ones(2), 0.2), Column(pi=1.0, a=np.ones(1))),
      DimensionMismatch, "column has 1 rows, state has 2"),
     (lambda: OnlineState.start(2, 10, np.ones(3), 0.2), DimensionMismatch, "b has shape"),
+    (lambda: OnlineState.start(2, 50, [-1.0, 1.0], 0.2), ValueError, "capacities b must be"),
+    (lambda: OnlineState.start(2, 50, [np.nan, 1.0], 0.2), ValueError, "capacities b must be"),
+    (lambda: OnlineState.start(2, 50, [np.inf, 1.0], 0.2), ValueError, "capacities b must be"),
+    (lambda: OnlineState.start(2, 50, [0.0, 1.0], 0.2), ValueError, "capacities b must be"),
+    (lambda: OnlineState.start(0, 50, [], 0.2), ValueError, "capacities b must be"),
+    (lambda: OnlineState.start(2, 50.5, np.ones(2), 0.2), ValueError, "n must be an integer"),
+    (lambda: OnlineState.start(2, 0, np.ones(2), 0.2), ValueError, "n must be an integer"),
+    (lambda: OnlineState.start(2, True, np.ones(2), 0.2), ValueError, "n must be an integer"),
     (lambda: h_factor(10, 100, 0.0), ValueError, "eps must be in"),
     (lambda: h_factor(10, 100, 1.0), ValueError, "eps must be in"),
-], ids=["step column size", "start b shape", "h_factor eps 0", "h_factor eps 1"])
+], ids=["step column size", "start b shape", "start b negative", "start b nan", "start b inf",
+        "start b zero", "start no rows", "start n fractional", "start n zero", "start n bool",
+        "h_factor eps 0", "h_factor eps 1"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

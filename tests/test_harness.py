@@ -1,4 +1,4 @@
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -84,15 +84,9 @@ def inline_pool(monkeypatch) -> list[int]:
     """Replace the process pool by one that runs each task inline; returns the sizes asked for."""
     sizes = []
 
-    class InlinePool:
+    class InlinePool(Executor):
         def __init__(self, max_workers):
             sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
 
         def submit(self, fn, *args):
             future = Future()

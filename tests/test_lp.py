@@ -217,14 +217,18 @@ def test_non_finite_gap_fails_the_certificate(monkeypatch):
         solve_boxed_lp(_lp([4.0, 3.0], [[1.0, 1.0]], [1.5]))
 
 
+def _one_column() -> Instance:
+    return Instance(m=1, n=1, b=np.ones(1), rewards=np.ones(1), consumption=np.ones((1, 1)))
+
+
 @pytest.mark.parametrize("make, exc, match", [
     (lambda: BoxedLp(c=np.ones(2), A=np.ones(2), d=np.ones(1)), DimensionMismatch, "A must be a matrix"),
     (lambda: BoxedLp(c=np.zeros(0), A=np.zeros((1, 0)), d=np.ones(1)), DimensionMismatch,
      "at least one row and one column"),
-    (lambda: perturb_rewards(Instance(m=1, n=1, b=np.ones(1), rewards=np.ones(1),
-                                      consumption=np.ones((1, 1))), eta=-1e-9),
-     ValueError, "eta must be nonnegative"),
-], ids=["one-dimensional A", "empty A", "negative eta"])
+    (lambda: perturb_rewards(_one_column(), eta=-1e-9), ValueError, "eta must be finite"),
+    (lambda: perturb_rewards(_one_column(), eta=np.nan), ValueError, "eta must be finite"),
+    (lambda: perturb_rewards(_one_column(), eta=np.inf), ValueError, "eta must be finite"),
+], ids=["one-dimensional A", "empty A", "negative eta", "nan eta", "infinite eta"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

@@ -160,6 +160,53 @@ class TestRoundTrip:
         assert back.b[0] == np.pi
 
 
+class TestWrittenText:
+    """The writer's exact text, so a change to the file format cannot pass unnoticed."""
+
+    def test_scalar_instance(self):
+        inst = Instance(
+            m=2, n=3, b=np.array([0.1, 1e12]),
+            rewards=np.array([1 / 3, 1e-300, 0.0]),
+            consumption=np.array([[1 / 7, 5e-324], [0.0, 1.0], [1.0, 0.1]]),
+            meta={"kind": "handmade", "shuffled": True},
+        )
+        assert instance_to_json(inst) == (
+            '{\n'
+            '  "m": 2,\n'
+            '  "n": 3,\n'
+            '  "b": [0.10000000000000001, 1000000000000],\n'
+            '  "columns": [\n'
+            '    {"pi": 0.33333333333333331, "a": [0.14285714285714285, 4.9406564584124654e-324]},\n'
+            '    {"pi": 1e-300, "a": [0, 1]},\n'
+            '    {"pi": 0, "a": [1, 0.10000000000000001]}\n'
+            '  ],\n'
+            '  "meta": {"kind": "handmade", "shuffled": true}\n'
+            '}\n'
+        )
+
+    def test_multi_choice_instance(self):
+        inst = MultiInstance(
+            m=2, n=2, k=3, b=np.array([2.5, 1 / 3]),
+            rewards=np.array([[0.1, 0.0, 1e12], [1 / 7, 1.0, 2.0]]),
+            consumption=np.array([[[0.5, 0.0, 1.0], [0.25, 1 / 3, 0.0]],
+                                  [[1.0, 1.0, 1.0], [0.0, 5e-324, 0.75]]]),
+        )
+        assert instance_to_json(inst) == (
+            '{\n'
+            '  "m": 2,\n'
+            '  "n": 2,\n'
+            '  "k": 3,\n'
+            '  "b": [2.5, 0.33333333333333331],\n'
+            '  "columns": [\n'
+            '    {"f": [0.10000000000000001, 0, 1000000000000],'
+            ' "G": [[0.5, 0, 1], [0.25, 0.33333333333333331, 0]]},\n'
+            '    {"f": [0.14285714285714285, 1, 2],'
+            ' "G": [[1, 1, 1], [0, 4.9406564584124654e-324, 0.75]]}\n'
+            '  ]\n'
+            '}\n'
+        )
+
+
 def instance_json(columns, k=None) -> str:
     """An m = 3 instance file over the given columns (multi-choice when k is given)."""
     obj = {"m": 3, "n": len(columns), "b": [1.0, 1.0, 1.0], "columns": columns}
