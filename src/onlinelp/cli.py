@@ -89,6 +89,8 @@ def _gen_params() -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="onlinelp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("-i", "--input", required=True)
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--kind", required=True, choices=list(GENERATORS))
@@ -102,8 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                          type=None if choices else annotation, choices=choices)
     gen.set_defaults(func=cmd_gen)
 
-    run = sub.add_parser("run", help="replay one instance with one policy")
-    run.add_argument("-i", "--input", required=True)
+    run = sub.add_parser("run", parents=[source], help="replay one instance with one policy")
     run.add_argument("--algo", required=True, choices=ALGORITHMS)
     run.add_argument("--eps", type=_eps_value, default=0.1)
     run.add_argument("--shuffle-seed", type=partial(_int_at_least, "shuffle-seed", 0),
@@ -113,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also write the 0/1 (or option-index) vector as JSON")
     run.set_defaults(func=cmd_run)
 
-    bench = sub.add_parser("bench", help="competitive-ratio trials over a grid")
-    bench.add_argument("-i", "--input", required=True)
+    bench = sub.add_parser("bench", parents=[source], help="competitive-ratio trials over a grid")
     bench.add_argument("--algos", type=_algo_list, default=["ola", "dpa"],
                        help="comma-separated policy names")
     bench.add_argument("--eps", type=_eps_grid, default=[0.05, 0.1, 0.2],
@@ -130,17 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record wall time per trial (off keeps CSV reproducible)")
     bench.set_defaults(func=cmd_bench)
 
-    slp = sub.add_parser("sample-lp",
+    slp = sub.add_parser("sample-lp", parents=[source],
                          help="approximate a large LP by column sampling")
-    slp.add_argument("-i", "--input", required=True)
     slp.add_argument("--eps", type=_eps_value, required=True)
     slp.add_argument("--seed", type=partial(_int_at_least, "seed", 0), default=0)
     slp.add_argument("-o", "--output", default=None,
                      help="write the solution vector and report as JSON")
     slp.set_defaults(func=cmd_sample_lp)
 
-    check = sub.add_parser("check", help="capacity-size conditions (advisory)")
-    check.add_argument("-i", "--input", required=True)
+    check = sub.add_parser("check", parents=[source], help="capacity-size conditions (advisory)")
     check.add_argument("--eps", type=_eps_value, required=True)
     check.add_argument("--variant", default="all", choices=[*CONDITION_VARIANTS, "all"])
     check.set_defaults(func=cmd_check)
@@ -161,6 +159,17 @@ def _print_conditions(inst, eps: float, variants) -> None:
         verdict = "satisfied" if rep.satisfied else "NOT satisfied"
         print(f"condition {rep.variant} at eps={eps:g}: {verdict} "
               f"(have {rep.lhs:.6g}, need >= {rep.rhs:.6g})")
+
+
+def _print_fill(fill, b) -> None:
+    for i, (used, cap) in enumerate(zip(fill, b)):
+        print(f"fill[{i}] = {used:.6g} of {cap:.6g}")
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
 
 
 def cmd_gen(args) -> int:
@@ -194,17 +203,14 @@ def cmd_run(args) -> int:
     print(f"opt = {real(opt)}")
     print(f"ratio = {ratio:.6f}")
     print(f"accepted = {result.accepted} of {inst.n}")
-    for i in range(inst.m):
-        print(f"fill[{i}] = {result.fill[i]:.6g} of {inst.b[i]:.6g}")
+    _print_fill(result.fill, inst.b)
     for ell, price in result.prices_used:
         vals = " ".join(f"{v:.6g}" for v in price.p)
         print(f"price learned at t={ell}: [{vals}]")
     if args.decisions_out is not None:
         key = "choices" if isinstance(inst, MultiInstance) else "decisions"
-        payload = {key: getattr(result, key).tolist(), "objective": result.objective}
-        with open(args.decisions_out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        _write_json(args.decisions_out,
+                    {key: getattr(result, key).tolist(), "objective": result.objective})
     return 0
 
 
@@ -245,12 +251,11 @@ def cmd_sample_lp(args) -> int:
     print(f"objective = {real(res.objective)}")
     print(f"accepted = {int(res.x.sum())} of {inst.n}")
     print(f"guard rejections = {res.guard_rejections}")
-    for i in range(inst.m):
-        print(f"fill[{i}] = {res.fill[i]:.6g} of {inst.b[i]:.6g}")
+    _print_fill(res.fill, inst.b)
     vals = " ".join(f"{v:.6g}" for v in res.price.p)
     print(f"sampled price: [{vals}]")
     if args.output is not None:
-        payload = {
+        _write_json(args.output, {
             "eps": args.eps,
             "seed": args.seed,
             "objective": res.objective,
@@ -259,10 +264,7 @@ def cmd_sample_lp(args) -> int:
             "guard_rejections": res.guard_rejections,
             "price": [float(v) for v in res.price.p],
             "sample_indices": [int(v) for v in res.sample_indices],
-        }
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-            fh.write("\n")
+        })
     return 0
 
 

@@ -74,14 +74,19 @@ def ceil_snap(x: float) -> int:
     return int(math.ceil(x))
 
 
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless 0 < eps < 1 (NaN fails it too)."""
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+
+
 def sample_size(n: int, eps: float) -> int:
     """ceil(n*eps), the number of columns learned from; at least one.
 
     Raises ValueError unless 0 < eps < 1, and DegenerateWindow when
     n*eps < 1 leaves no column to learn from.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    check_eps(eps)
     prod = n * eps
     if prod < 1.0 - 1e-9:
         raise DegenerateWindow(f"n*eps = {prod:.6g} < 1 leaves no columns to learn from")
@@ -96,8 +101,7 @@ def h_factor(ell: int, n: int, eps: float) -> float:
     """
     if not 1 <= ell <= n:
         raise ValueError(f"ell must be in [1, n], got ell={ell}, n={n}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    check_eps(eps)
     return eps * math.sqrt(n / ell)
 
 
@@ -258,11 +262,7 @@ def objective(rewards, choices) -> float:
 
 def allocation_rule(price: DualPrice, col: Column) -> int:
     """1 if the column's reward strictly beats its consumption priced at ``price``."""
-    if price.m != col.a.size:
-        raise DimensionMismatch(
-            f"price has {price.m} rows, column consumption has {col.a.size}"
-        )
-    return int(price_rule(price.p, [[col.pi]], col.a[None, None, :])[0] >= 0)
+    return int(multi_allocation_rule(price, MultiColumn(f=[col.pi], G=col.a[:, None])) is not None)
 
 
 def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> int | None:
@@ -380,10 +380,13 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
     """Process one arrival and return (decision, state).
 
     The state is advanced in place and returned for convenience.  Raises
-    StreamExhausted once n arrivals have been processed.  The price comes
-    from the same schedule walk as the batch runs, so folding step over an
-    instance's columns reproduces run_ola / run_dpa decision for decision.
+    TypeError for an arrival that is not a Column, and StreamExhausted once
+    n arrivals have been processed.  The price comes from the same schedule
+    walk as the batch runs, so folding step over an instance's columns
+    reproduces run_ola / run_dpa decision for decision.
     """
+    if not isinstance(col, Column):
+        raise TypeError(f"step takes a Column, got {type(col).__name__}")
     t = state.t
     if t >= state.n:
         raise StreamExhausted(f"all {state.n} arrivals already processed")
@@ -430,8 +433,7 @@ def check_input_condition(
 
     The report is diagnostic: runs proceed regardless of the outcome.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    check_eps(eps)
     m, n = inst.m, inst.n
     lhs = float(inst.b.min())
     if variant == "ola":
@@ -446,9 +448,7 @@ def check_input_condition(
         rhs = 20.0 * (m * lam + m * m * math.log(1.0 / eps)) / eps**2
     elif variant == "per_row":
         abar = options(inst)[1].max(axis=(0, 1))
-        with np.errstate(divide="ignore"):
-            per_row = np.where(abar > 0.0, inst.b / np.where(abar > 0.0, abar, 1.0), np.inf)
-        lhs = float(per_row.min())
+        lhs = float(np.divide(inst.b, abar, out=np.full(m, np.inf), where=abar > 0.0).min())
         # The option count folds into the log term; it is pinned at 1 here.
         rhs = 20.0 * m * math.log(n / eps) / eps**2
     else:

@@ -249,7 +249,7 @@ def shuffle(inst: Instance | MultiInstance, seed: int):
     """Uniform random permutation of the columns (seeded Fisher-Yates)."""
     perm = np.random.default_rng(seed).permutation(inst.n)
     meta = dict(inst.meta or {})
-    meta["shuffle_seed"] = seed
+    meta["shuffle_seed"] = _plain(seed)
     return replace(
         inst, b=inst.b.copy(), rewards=inst.rewards[perm],
         consumption=inst.consumption[perm], meta=meta,

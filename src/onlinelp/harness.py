@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    decide, dual_price, objective, options, packing_lp, price_rule, run_dpa, run_ola,
+    check_eps, decide, dual_price, objective, options, packing_lp, price_rule, run_dpa, run_ola,
     sample_size,
 )
 from .generators import shuffle
@@ -168,9 +168,10 @@ def run_grid(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for algo, _ in cells:
+    for algo, eps in cells:
         if algo not in ALGORITHMS:
             raise _unknown(algo)
+        check_eps(eps)
     opt, _, _ = offline_opt(inst)
     grid = [TrialStats(algo=algo, eps=eps, opt=opt) for algo, eps in cells]
     tasks = [(inst, stats.algo, stats.eps, r, base_seed + r, opt)

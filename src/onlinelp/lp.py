@@ -166,14 +166,6 @@ class BoxedLp:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "k", int(k))
 
-    @property
-    def num_rows(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def num_cols(self) -> int:
-        return self.A.shape[1]
-
 
 @dataclass(frozen=True)
 class SolveStats:
@@ -200,20 +192,13 @@ class SolveStats:
 
 @dataclass
 class LpSolution:
-    """Optimal point, row prices, per-column status, objective, and solve stats.
-
-    ``pivots`` counts the bound flips and basis exchanges the solve took.
-    """
+    """Optimal point, row prices, per-column status, objective, and solve stats."""
 
     x: np.ndarray
     dual: np.ndarray
     reduced_info: np.ndarray
     objective: float
     stats: SolveStats = SolveStats()
-
-    @property
-    def pivots(self) -> int:
-        return self.stats.iterations + self.stats.flips
 
     def dual_objective(self, lp: BoxedLp) -> float:
         """Value of the dual: d'p plus each group's charge max(0, max_j c_j - p'A_j)."""
@@ -248,7 +233,7 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
         InternalError: if the answer fails its own certificate (a row or
             group violated, or a duality gap that is large or not finite).
     """
-    m, s, k = lp.num_rows, lp.num_cols, lp.k
+    (m, s), k = lp.A.shape, lp.k
     ell, width = s // k, k + 1
     grouped = ell * width
     nvar = grouped + m
@@ -626,7 +611,7 @@ def perturb_rewards(
     else:
         rewards = rewards + np.random.default_rng(seed).uniform(0.0, eta, size=rewards.shape)
     meta = dict(inst.meta or {})
-    meta["perturbation"] = {"eta": eta, "seed": seed}
+    meta["perturbation"] = {"eta": float(eta), "seed": int(seed)}
     return replace(
         inst, b=inst.b.copy(), rewards=rewards, consumption=inst.consumption.copy(), meta=meta
     )

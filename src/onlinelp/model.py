@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterator
 
 import numpy as np
@@ -263,6 +264,8 @@ def _reals(count: int) -> str:
 def _json_chunks(inst: Instance | MultiInstance) -> Iterator[str]:
     """The interchange JSON text of an instance, one block of arrivals at a time."""
     n, m = inst.n, inst.m
+    # meta first, so that a value JSON cannot hold raises before the first chunk.
+    meta = ',\n  "meta": ' + json.dumps(inst.meta, sort_keys=True) if inst.meta else ""
     if isinstance(inst, MultiInstance):
         k_line = f'  "k": {inst.k},\n'
         line = '    {{"f": ' + _reals(inst.k) + ', "G": [' + ", ".join([_reals(inst.k)] * m) + "]}}"
@@ -275,7 +278,6 @@ def _json_chunks(inst: Instance | MultiInstance) -> Iterator[str]:
     for start in range(0, n, _BLOCK):
         rows = table[start:start + _BLOCK].tolist()
         yield (",\n" if start else "") + ",\n".join([line.format(*row) for row in rows])
-    meta = ',\n  "meta": ' + json.dumps(inst.meta, sort_keys=True) if inst.meta else ""
     yield "\n  ]" + meta + "\n}\n"
 
 
@@ -334,23 +336,21 @@ def instance_from_json(text: str) -> Instance | MultiInstance:
         # instance's shape check rejects it instead of broadcasting it.
         return reals([col[key] for col in cols], key)
 
+    make, f, g = (partial(MultiInstance, k=obj["k"]), "f", "G") if "k" in obj else (Instance, "pi", "a")
     try:
-        if "k" in obj:
-            return MultiInstance(
-                m=m, n=n, k=obj["k"], b=reals(obj["b"], "b"),
-                rewards=stacked("f"), consumption=stacked("G"), meta=meta,
-            )
-        return Instance(
-            m=m, n=n, b=reals(obj["b"], "b"),
-            rewards=stacked("pi"), consumption=stacked("a"), meta=meta,
-        )
+        return make(m=m, n=n, b=reals(obj["b"], "b"),
+                    rewards=stacked(f), consumption=stacked(g), meta=meta)
     except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatch) as exc:
         raise ParseError(f"instance schema violation: {exc}") from exc
 
 
 def save_instance(inst: Instance | MultiInstance, path) -> None:
+    """Write an instance file; an unserializable ``meta`` raises before the file is opened."""
+    chunks = _json_chunks(inst)
+    head = next(chunks)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(inst))
+        fh.write(head)
+        fh.writelines(chunks)
 
 
 def load_instance(path) -> Instance | MultiInstance:

@@ -120,7 +120,7 @@ def cs_report_loop(lp, sol, tol=1e-7):
     tol_slack = tol * max(1.0, float(np.abs(lp.d).max()))
     out = []
     slack = lp.d - lp.A @ sol.x
-    for i in range(lp.num_rows):
+    for i in range(lp.A.shape[0]):
         if sol.dual[i] > tol_price and slack[i] > tol_slack:
             out.append(CsViolation("price_slack", i, float(sol.dual[i] * slack[i])))
     rc = lp.c - sol.dual @ lp.A

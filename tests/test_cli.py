@@ -275,8 +275,10 @@ class TestBench:
         out = capsys.readouterr().out
         assert out.startswith("algo,eps,trial,")
 
-    def test_jobs_do_not_change_the_csv(self, routing_file, tmp_path):
-        flags = ["bench", "-i", str(routing_file), "--algos", "ola,dpa,greedy_baseline",
+    @pytest.mark.parametrize("input_file", ["routing_file", "adwords_file"])
+    def test_jobs_do_not_change_the_csv(self, input_file, request, tmp_path):
+        path = request.getfixturevalue(input_file)
+        flags = ["bench", "-i", str(path), "--algos", "ola,dpa,dpa_multi,greedy_baseline",
                  "--eps", "0.1,0.2", "--trials", "3", "--base-seed", "4"]
         for jobs in ("1", "2"):
             assert main(flags + ["--jobs", jobs, "-o", str(tmp_path / f"{jobs}.csv")]) == 0

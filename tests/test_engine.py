@@ -10,6 +10,7 @@ from onlinelp import (
     DualPrice,
     GenSpec,
     Instance,
+    MultiColumn,
     NonpositiveReward,
     OnlineState,
     StreamExhausted,
@@ -86,6 +87,9 @@ class TestHFactor:
 @pytest.mark.parametrize("make, exc, match", [
     (lambda: step(OnlineState.start(2, 10, np.ones(2), 0.2), Column(pi=1.0, a=np.ones(1))),
      DimensionMismatch, "column has 1 rows, state has 2"),
+    (lambda: step(OnlineState.start(2, 10, np.ones(2), 0.2),
+                  MultiColumn(f=[1.0], G=np.ones((2, 1)))),
+     TypeError, "step takes a Column, got MultiColumn"),
     (lambda: OnlineState.start(2, 10, np.ones(3), 0.2), DimensionMismatch, "b has shape"),
     (lambda: OnlineState.start(2, 50, [-1.0, 1.0], 0.2), ValueError, "capacities b must be"),
     (lambda: OnlineState.start(2, 50, [np.nan, 1.0], 0.2), ValueError, "capacities b must be"),
@@ -97,9 +101,9 @@ class TestHFactor:
     (lambda: OnlineState.start(2, True, np.ones(2), 0.2), ValueError, "n must be an integer"),
     (lambda: h_factor(10, 100, 0.0), ValueError, "eps must be in"),
     (lambda: h_factor(10, 100, 1.0), ValueError, "eps must be in"),
-], ids=["step column size", "start b shape", "start b negative", "start b nan", "start b inf",
-        "start b zero", "start no rows", "start n fractional", "start n zero", "start n bool",
-        "h_factor eps 0", "h_factor eps 1"])
+], ids=["step column size", "step multi column", "start b shape", "start b negative",
+        "start b nan", "start b inf", "start b zero", "start no rows", "start n fractional",
+        "start n zero", "start n bool", "h_factor eps 0", "h_factor eps 1"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

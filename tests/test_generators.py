@@ -18,6 +18,7 @@ from onlinelp import (
     instance_from_json,
     instance_to_json,
     load_instance,
+    perturb_rewards,
     save_instance,
     shuffle,
 )
@@ -266,6 +267,14 @@ class TestGenerate:
         assert np.array_equal(back.rewards, inst.rewards)
         ads = generate(GenSpec("adwords", 2, dict(n=np.int64(20), m=np.int32(3))))
         assert instance_from_json(instance_to_json(ads)).meta["params"] == {"n": 20, "m": 3}
+        shuffled = shuffle(inst, np.int64(4))
+        assert type(shuffled.meta["shuffle_seed"]) is int
+        perturbed = perturb_rewards(ads, np.float64(1e-9), np.int64(5))
+        assert perturbed.meta["perturbation"] == {"eta": 1e-9, "seed": 5}
+        assert type(perturbed.meta["perturbation"]["eta"]) is float
+        assert type(perturbed.meta["perturbation"]["seed"]) is int
+        for other in (shuffled, perturbed):
+            assert instance_from_json(instance_to_json(other)).meta == other.meta
 
     def test_seed_is_not_a_param(self):
         with pytest.raises(BadSpec, match="unknown parameters"):

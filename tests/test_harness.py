@@ -192,6 +192,10 @@ class TestRunGrid:
             run_grid(routing(), [("ola", 0.1), ("magic", 0.1)], trials=1)
         with pytest.raises(ValueError, match="trials must be >= 1"):
             run_grid(routing(), self.CELLS, trials=0)
+        with pytest.raises(ValueError, match="eps must be in"):
+            run_grid(routing(), [("dpa", 1.5)], trials=2)
+        with pytest.raises(ValueError, match="eps must be in"):
+            run_grid(routing(), [("greedy_baseline", 7.0)], trials=2)
 
     def test_a_failing_task_fails_the_grid(self):
         # n * eps = 0.06 < 1: every dpa trial raises in its worker

@@ -292,7 +292,6 @@ def test_iterations_bounded_on_offline_routing():
     lp = sample_lp(inst)
     sol = solve_boxed_lp(lp)
     assert sol.stats.iterations <= 10 * inst.m
-    assert sol.pivots == sol.stats.iterations + sol.stats.flips
     assert sol.stats.refactorizations >= 1
     assert sol.stats.max_residual <= 1e-7 * float(lp.d.max())
     assert sol.stats.gap == abs(sol.objective - sol.dual_objective(lp))
@@ -309,6 +308,22 @@ def test_pivot_count_bounded_on_offline_adwords():
     """At most 200 basis exchanges on 800 groups of three (flips count apart)."""
     inst = generate(GenSpec("adwords", 0, dict(n=800, m=3)))
     assert solve_boxed_lp(sample_lp(inst)).stats.iterations <= 200
+
+
+def test_refactoring_after_every_iteration_keeps_the_optimum(monkeypatch):
+    """The periodic refactorization, run after each iteration, leaves the objective.
+
+    Only objectives are compared: a dual may move along a degenerate optimal face.
+    """
+    lps = [sample_lp(generate(GenSpec("routing", seed, dict(m=5, n=2000, q=0.5, capacity=200.0))))
+           for seed in range(3)]
+    lps += [sample_lp(generate(GenSpec("adwords", seed, dict(n=800, m=3)))) for seed in range(3)]
+    default = [solve_boxed_lp(lp).objective for lp in lps]
+    monkeypatch.setattr(lp_module, "_REFACTOR_EVERY", 1)
+    for seed, (lp, objective) in enumerate(zip(lps, default)):
+        sol = solve_boxed_lp(lp)
+        assert sol.stats.refactorizations == sol.stats.iterations + 1, seed
+        assert sol.objective == objective, seed
 
 
 class TestGroupedLp:

@@ -143,6 +143,18 @@ class TestRoundTrip:
         back = load_instance(path)
         assert np.array_equal(back.consumption, inst.consumption)
 
+    def test_unserializable_meta_leaves_the_file_alone(self, tmp_path):
+        path, absent = tmp_path / "inst.json", tmp_path / "absent.json"
+        save_instance(small_multi(), path)
+        before = path.read_bytes()
+        bad = small_instance()
+        bad.meta = {"seed": np.int64(4)}
+        for target in (path, absent):
+            with pytest.raises(TypeError):
+                save_instance(bad, target)
+        assert path.read_bytes() == before
+        assert not absent.exists()
+
     def test_bytes_that_are_not_utf8_are_a_parse_error(self, tmp_path):
         path = tmp_path / "utf16.json"
         path.write_bytes(b"\xff\xfe" + instance_to_json(small_instance()).encode("utf-16-le"))
