@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
-import os
 import sys
+from contextlib import nullcontext
 from functools import partial
 from typing import get_args
 
 from .engine import CONDITION_VARIANTS, check_input_condition, options
 from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
-from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_grid
+from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_grid, usable_cpus
 # Unused here: benchmarks/tracer.py wraps ``cli.run_trials`` and fails if the
 # name is gone (ROADMAP item 1 retargets it to ``run_grid``).
 from .harness import run_trials  # noqa: F401
@@ -96,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--kind", required=True, choices=list(GENERATORS))
     gen.add_argument("--seed", type=partial(_int_at_least, "seed", 0), default=0)
     gen.add_argument("-o", "--output", required=True)
-    gen.add_argument("--check-eps", type=_eps_value, default=None,
-                     help="also print capacity-condition checks at this eps")
     for name, annotation in _gen_params().items():
         choices = get_args(annotation) or None
         gen.add_argument("--" + name.replace("_", "-"),
@@ -124,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("-o", "--output", default=None,
                        help="CSV path (stdout when omitted)")
     bench.add_argument("--jobs", type=partial(_int_at_least, "jobs", 1),
-                       default=os.cpu_count() or 1,
+                       default=usable_cpus(),
                        help="worker processes shared by the whole (algo, eps, trial) grid")
     bench.add_argument("--timings", action="store_true",
                        help="record wall time per trial (off keeps CSV reproducible)")
@@ -186,8 +183,6 @@ def cmd_gen(args) -> int:
         shape += f" k={inst.k}"
     print(f"wrote {args.output}: kind={args.kind} {shape} B={bmin:.6g}")
     print("abar per row: " + " ".join(f"{v:.6g}" for v in options(inst)[1].max(axis=(0, 1))))
-    if args.check_eps is not None:
-        _print_conditions(inst, args.check_eps, CONDITION_VARIANTS)
     return 0
 
 
@@ -216,31 +211,24 @@ def cmd_run(args) -> int:
 
 def cmd_bench(args) -> int:
     inst = load_instance(args.input)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER.split(","))
     cells = [(algo, eps) for algo in args.algos for eps in args.eps]
     grid = run_grid(inst, cells, args.trials, base_seed=args.base_seed, jobs=args.jobs)
-    summaries = []
-    for stats in grid:
-        summaries.append(
-            f"{stats.algo} eps={stats.eps:g}: mean ratio {stats.mean_ratio:.4f} "
-            f"(std {stats.std_ratio:.4f}), violations {stats.violations}"
-        )
-        for rec in stats.records:
-            writer.writerow([
-                stats.algo, real(stats.eps), rec.trial, rec.seed,
-                real(rec.objective), real(rec.opt), real(rec.ratio),
-                rec.violations,
-                real(rec.runtime_ms) if args.timings else "0",
-            ])
-    if args.output is None:
-        sys.stdout.write(buf.getvalue())
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-        for line in summaries:
-            print(line)
+    with (nullcontext(sys.stdout) if args.output is None
+          else open(args.output, "w", encoding="utf-8", newline="")) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_CSV_HEADER.split(","))
+        for stats in grid:
+            for rec in stats.records:
+                writer.writerow([
+                    stats.algo, real(stats.eps), rec.trial, rec.seed,
+                    real(rec.objective), real(rec.opt), real(rec.ratio),
+                    rec.violations,
+                    real(rec.runtime_ms) if args.timings else "0",
+                ])
+    if args.output is not None:
+        for stats in grid:
+            print(f"{stats.algo} eps={stats.eps:g}: mean ratio {stats.mean_ratio:.4f} "
+                  f"(std {stats.std_ratio:.4f}), violations {stats.violations}")
         print(f"wrote {args.output}")
     return 0
 

@@ -39,7 +39,9 @@ import numpy as np
 
 from .errors import DegenerateWindow, DimensionMismatch, NonpositiveReward, StreamExhausted
 from .lp import BoxedLp, solve_boxed_lp
-from .model import Column, DualPrice, Instance, MultiColumn, MultiInstance, RunResult, onehot
+from .model import (
+    Column, DualPrice, Instance, MultiColumn, MultiInstance, RunResult, check_count, onehot,
+)
 
 __all__ = [
     "allocation_rule",
@@ -271,9 +273,9 @@ def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> int | None:
     Ties on the surplus go to the lowest option index; an option priced
     exactly at its reward never wins.
     """
-    if price.m != col.G.shape[0]:
+    if price.p.size != col.G.shape[0]:
         raise DimensionMismatch(
-            f"price has {price.m} rows, column consumption has {col.G.shape[0]}"
+            f"price has {price.p.size} rows, column consumption has {col.G.shape[0]}"
         )
     r = int(price_rule(price.p, [col.f.tolist()], np.ascontiguousarray(col.G.T)[None])[0])
     return None if r < 0 else r
@@ -336,18 +338,17 @@ def run_dpa(inst: Instance | MultiInstance, eps: float) -> RunResult:
 class OnlineState:
     """Mutable state for the streaming API; single-owner, advance with step().
 
-    Holds the arrival count ``t``, the remaining capacity, the decisions so
-    far, the ``schedule`` of ``(ell, shrink)`` checkpoints with the prices
-    learned at those passed so far (``prices_used``), and the arrivals up to
-    the last checkpoint (the window alone under OLA), which are all that
-    re-learning prices needs.  The row count is ``b.size``.
+    Holds the remaining capacity, the decisions so far (one per arrival),
+    the ``schedule`` of ``(ell, shrink)`` checkpoints with the prices learned
+    at those passed so far (``prices_used``), and the arrivals up to the last
+    checkpoint (the window alone under OLA), which are all that re-learning
+    prices needs.  The row count is ``b.size``.
     """
 
     n: int
     b: np.ndarray
     schedule: list[tuple[int, float]]
     remaining: np.ndarray
-    t: int = 0
     decisions: list[int] = field(default_factory=list)
     prices_used: list[tuple[int, DualPrice]] = field(default_factory=list)
     _seen_pi: np.ndarray = field(init=False, repr=False)
@@ -360,8 +361,7 @@ class OnlineState:
 
     @classmethod
     def start(cls, m: int, n: int, b, eps: float, mode: str = "dpa") -> "OnlineState":
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError(f"n must be an integer >= 1, got {n!r}")
+        check_count("n", n)
         points = schedule(n, eps, mode)
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (m,):
@@ -387,7 +387,7 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
     """
     if not isinstance(col, Column):
         raise TypeError(f"step takes a Column, got {type(col).__name__}")
-    t = state.t
+    t = len(state.decisions)
     if t >= state.n:
         raise StreamExhausted(f"all {state.n} arrivals already processed")
     if col.a.size != state.b.size:
@@ -400,7 +400,6 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
     if price is not None:
         decide(price.p, [[col.pi]], col.a[None, None, :], 0, 1, state.remaining, choice)
     decision = int(choice[0] >= 0)
-    state.t = t + 1
     state.decisions.append(decision)
     return decision, state
 

@@ -15,6 +15,7 @@ every column with a dual learned from a random sample.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -161,8 +162,8 @@ def run_grid(
     so results are reproducible and the cells compare policies on identical
     arrival orders.  The offline optimum is solved once for the whole grid.
     ``jobs > 1`` runs the (cell, trial) tasks in one pool of up to ``jobs``
-    worker processes, never more than there are tasks; each cell's records
-    come back in trial order either way.
+    worker processes, never more than there are tasks or ``usable_cpus()``;
+    each cell's records come back in trial order either way.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -176,7 +177,7 @@ def run_grid(
     grid = [TrialStats(algo=algo, eps=eps, opt=opt) for algo, eps in cells]
     tasks = [(inst, stats.algo, stats.eps, r, base_seed + r, opt)
              for stats in grid for r in range(1, trials + 1)]
-    workers = min(jobs, len(tasks))
+    workers = min(jobs, len(tasks), usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_one_trial, tasks))  # a failed task cancels the rest
@@ -185,6 +186,11 @@ def run_grid(
     for i, stats in enumerate(grid):
         stats.records = records[i * trials:(i + 1) * trials]
     return grid
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def run_trials(
@@ -204,7 +210,7 @@ def lemma_kkt_oracle(
 ) -> int:
     """Count arrivals where the offline optimum and the price rule disagree.
 
-    Perturbs rewards by Uniform[0, eta) (eta=0 skips perturbation), solves
+    Perturbs rewards by Uniform[0, eta) (eta=0 adds zero noise), solves
     the offline LP, prices every column with the optimal duals, and counts
     positions where the rule's 0/1 (or one-hot) decision differs from the
     LP's x by more than 1e-9.  With a generic perturbation the count is at

@@ -598,20 +598,17 @@ def perturb_rewards(
 
     Breaks reward ties so that, with probability one, at most m columns sit
     exactly on the price hyperplane of any fixed dual vector.  ``eta=None``
-    picks 1e-9 times the largest reward; ``eta=0`` returns an unmodified
-    copy.  Deterministic for a fixed seed.
+    picks 1e-9 times the largest reward; ``eta=0`` adds zero noise, so the
+    rewards come back equal.  Deterministic for a fixed seed.
     """
     rewards = inst.rewards
     if eta is None:
         eta = 1e-9 * (float(rewards.max()) if rewards.size else 0.0)
     if not 0.0 <= eta < np.inf:  # NaN fails it too
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
-    if eta == 0.0:
-        rewards, eta = rewards.copy(), 0.0
-    else:
-        rewards = rewards + np.random.default_rng(seed).uniform(0.0, eta, size=rewards.shape)
+    rewards = rewards + np.random.default_rng(seed).uniform(0.0, eta, size=rewards.shape)
     meta = dict(inst.meta or {})
-    meta["perturbation"] = {"eta": float(eta), "seed": int(seed)}
+    meta["perturbation"] = {"eta": abs(float(eta)), "seed": int(seed)}
     return replace(
         inst, b=inst.b.copy(), rewards=rewards, consumption=inst.consumption.copy(), meta=meta
     )

@@ -57,6 +57,12 @@ def onehot(choices, k: int) -> np.ndarray:
     return out
 
 
+def check_count(name: str, value) -> None:
+    """A count of rows, arrivals or options is an integer >= 1, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _as_float_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -120,6 +126,9 @@ def _validate(inst, option_shape: tuple[int, ...]) -> None:
     Rewards have shape (n, *option_shape) and consumption (n, m, *option_shape),
     and their sum must be finite, so no objective value can overflow.
     """
+    for name, count in zip(("row count m", "arrival count n", "option count k"),
+                           (inst.m, inst.n, *option_shape)):
+        check_count(name, count)
     inst.b = _as_float_vector(inst.b, "b")
     inst.rewards = np.asarray(inst.rewards, dtype=np.float64)
     inst.consumption = np.asarray(inst.consumption, dtype=np.float64)
@@ -132,8 +141,6 @@ def _validate(inst, option_shape: tuple[int, ...]) -> None:
             raise DimensionMismatch(
                 f"{name} has shape {getattr(inst, name).shape}, expected {shape}"
             )
-    if min((inst.m, inst.n, *option_shape)) < 1:
-        raise ValueError("instance needs at least one row, one column and one option")
     if np.any(inst.b <= 0.0):
         raise ValueError("capacities must be strictly positive")
     _check_entries(inst.rewards, inst.consumption)
@@ -213,10 +220,6 @@ class DualPrice:
         if p.size and p.min() < 0.0:
             raise ValueError("dual prices must be nonnegative")
         object.__setattr__(self, "p", p)
-
-    @property
-    def m(self) -> int:
-        return self.p.size
 
 
 @dataclass

@@ -65,19 +65,6 @@ class TestGen:
         assert main(flags + ["-o", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_check_eps_prints_conditions(self, tmp_path, capsys):
-        code = main(["gen", "--kind", "routing", "--m", "2", "--n", "60",
-                     "--q", "0.5", "--capacity", "8", "-o",
-                     str(tmp_path / "r.json"), "--check-eps", "0.1"])
-        out = capsys.readouterr().out
-        assert code == 0
-        for variant in ("ola", "dpa", "per_row", "corollary"):
-            assert f"condition {variant}" in out
-        # The same lines, in the same order, as `check` prints.
-        assert main(["check", "-i", str(tmp_path / "r.json"), "--eps", "0.1"]) == 0
-        checked = capsys.readouterr().out.splitlines()
-        assert [line for line in out.splitlines() if line.startswith("condition")] == checked
-
     def test_unknown_param_for_kind_is_data_error(self, tmp_path, capsys):
         code = main(["gen", "--kind", "secretary", "--n", "50", "--k", "5",
                      "--q", "0.5", "-o", str(tmp_path / "x.json")])
@@ -268,12 +255,15 @@ class TestBench:
         rows = out.read_text().splitlines()[1:]
         assert any(not row.endswith(",0") for row in rows)
 
-    def test_stdout_when_no_output_path(self, secretary_file, capsys):
-        assert main(["bench", "-i", str(secretary_file), "--algos",
-                     "greedy_baseline", "--eps", "0.1", "--trials", "1",
-                     "--jobs", "1"]) == 0
+    def test_stdout_when_no_output_path(self, secretary_file, tmp_path, capsys):
+        flags = ["bench", "-i", str(secretary_file), "--algos", "ola,greedy_baseline",
+                 "--eps", "0.1,0.2", "--trials", "2", "--jobs", "1"]
+        assert main(flags) == 0
         out = capsys.readouterr().out
         assert out.startswith("algo,eps,trial,")
+        # Byte for byte the file -o writes: no summary line reaches stdout.
+        assert main(flags + ["-o", str(tmp_path / "b.csv")]) == 0
+        assert out.encode() == (tmp_path / "b.csv").read_bytes()
 
     @pytest.mark.parametrize("input_file", ["routing_file", "adwords_file"])
     def test_jobs_do_not_change_the_csv(self, input_file, request, tmp_path):

@@ -182,7 +182,6 @@ def cli_flags(tmp_path_factory):
                 ("--q", "0.5", "required", ["abc", "0", "1.5", "nan"]),
                 ("--capacity", "4", "required", ["abc", "0", "-1", "nan", "inf"]),
                 ("--seed", "1", "optional", SEEDS),
-                ("--check-eps", "0.2", "optional", EPS),
                 ("-o", out, "required", [unwritable])],
         "run": [source,
                 ("--algo", "dpa", "required", ["magic", "DPA", ""]),

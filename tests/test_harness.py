@@ -80,9 +80,13 @@ class TestGreedyBaseline:
         )
 
 
-def inline_pool(monkeypatch) -> list[int]:
-    """Replace the process pool by one that runs each task inline; returns the sizes asked for."""
+def inline_pool(monkeypatch, cpus=8) -> list[int]:
+    """Replace the process pool by one that runs each task inline; returns the sizes asked for.
+
+    The usable CPU count is pinned to ``cpus``, so the sizes hold on any machine.
+    """
     sizes = []
+    monkeypatch.setattr(harness, "usable_cpus", lambda: cpus)
 
     class InlinePool(Executor):
         def __init__(self, max_workers):
@@ -179,11 +183,16 @@ class TestRunGrid:
         alone = [run_trials(inst, algo, eps, trials=3, base_seed=11) for algo, eps in self.CELLS]
         assert [self.key(s) for s in grid] == [self.key(s) for s in alone]
 
-    @pytest.mark.parametrize("jobs, size", [(2, 2), (4, 4), (64, 6)])
-    def test_one_pool_for_the_whole_grid(self, monkeypatch, jobs, size):
-        sizes = inline_pool(monkeypatch)
+    @pytest.mark.parametrize("jobs, cpus, size", [  # ids read jobs-size
+        pytest.param(2, 8, 2, id="2-2"),
+        pytest.param(4, 8, 4, id="4-4"),
+        pytest.param(64, 8, 6, id="64-6"),
+        pytest.param(64, 2, 2, id="64-2"),
+    ])
+    def test_one_pool_for_the_whole_grid(self, monkeypatch, jobs, cpus, size):
+        sizes = inline_pool(monkeypatch, cpus)
         grid = run_grid(routing(n=60), self.CELLS[:2], trials=3, jobs=jobs)
-        assert sizes == [size]  # min(jobs, cells * trials)
+        assert sizes == [size]  # min(jobs, cells * trials, cpus)
         assert [[r.trial for r in s.records] for s in grid] == [[1, 2, 3], [1, 2, 3]]
 
     def test_bad_grid_fails_before_solving(self, monkeypatch):

@@ -42,6 +42,15 @@ def small_multi():
     )
 
 
+def two_arrivals(m=1, n=2, k=None):
+    """Two arrivals on one row: a scalar instance, or a multi-choice one when ``k`` is given."""
+    if k is None:
+        return Instance(m=m, n=n, b=np.ones(1), rewards=np.ones(2),
+                        consumption=np.full((2, 1), 0.5))
+    return MultiInstance(m=m, n=n, k=k, b=np.ones(1), rewards=np.ones((2, 1)),
+                         consumption=np.full((2, 1, 1), 0.5))
+
+
 class TestValidation:
     def test_column_rejects_negative_reward(self):
         with pytest.raises(ValueError):
@@ -72,6 +81,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="row"):
             MultiInstance(m=0, n=1, k=1, b=np.zeros(0), rewards=np.ones((1, 1)),
                           consumption=np.zeros((1, 0, 1)))
+
+    @pytest.mark.parametrize("counts", [{"m": True}, {"n": 2.0}, {"k": True}],
+                             ids=["m bool", "n float", "k bool"])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            two_arrivals(**counts)
+
+    def test_numpy_integer_counts_save_and_load(self, tmp_path):
+        inst = two_arrivals(m=np.int64(1), n=np.int64(2), k=np.int64(1))
+        save_instance(inst, tmp_path / "i.json")
+        assert instance_to_json(load_instance(tmp_path / "i.json")) == instance_to_json(inst)
 
     def test_instance_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
