@@ -19,7 +19,7 @@ from contextlib import nullcontext
 from functools import partial
 from typing import get_args
 
-from .engine import CONDITION_VARIANTS, check_input_condition, options
+from .engine import CONDITION_VARIANTS, check_eps, check_input_condition, options
 from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
 from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_grid, usable_cpus
@@ -44,8 +44,10 @@ def _eps_value(text: str) -> float:
         eps = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0.0 < eps < 1.0:
-        raise argparse.ArgumentTypeError(f"eps must be in (0, 1), got {text}")
+    try:
+        check_eps(eps)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return eps
 
 

@@ -18,22 +18,23 @@ are learned and the capacity shrink of each, ``learn_until`` walks that list
 up to an arrival and returns the price that governs it, and ``decide``
 applies the price rule and the capacity guard to a range of arrivals under
 one price.  ``run_epochs`` is the batch walk, one price epoch at a time, and
-``step`` the one-arrival walk for streaming use, so folding ``step`` over an
-instance's columns reproduces the batch runs exactly.  ``packing_lp`` builds
-every LP the package solves (prefix, offline and sampled), ``sample_lp`` is
-its prefix/offline front end and ``dual_price`` reads the row prices off a
-solution.  All of them read the k-option view of ``options``, in which a
-scalar instance is a multi-choice one with k = 1, so every policy takes
-either instance kind and returns a ``RunResult`` with the option each
-arrival took.  ``allocation_rule`` and ``multi_allocation_rule`` apply the
-price rule to one ``Column`` or ``MultiColumn``.
+``step`` the one-arrival walk, which keeps a stream's arrivals in an
+``Instance``; both learn through ``learn_price``, so folding ``step`` over
+an instance's columns reproduces the batch runs exactly.  ``packing_lp``
+builds every LP the package solves (prefix, offline and sampled),
+``sample_lp`` is its prefix/offline front end and ``dual_price`` reads the
+row prices off a solution.  All of them read the k-option view of
+``options``, in which a scalar instance is a multi-choice one with k = 1,
+so every policy takes either instance kind and returns a ``RunResult`` with
+the option each arrival took.  ``allocation_rule`` and
+``multi_allocation_rule`` apply the price rule to one ``Column`` or
+``MultiColumn``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -136,17 +137,18 @@ def schedule(n: int, eps: float, mode: str) -> list[tuple[int, float]]:
     raise ValueError(f"mode must be 'ola' or 'dpa', got {mode!r}")
 
 
-def learn_until(t: int, points, prices_used: list, learn):
+def learn_until(t: int, points, prices_used: list, learn, inst):
     """The price governing arrival ``t`` (0-based), or None in the first window.
 
     Learns, in order, every checkpoint ``(ell, shrink)`` of ``points`` with
     ``ell <= t`` that ``prices_used`` does not log yet, calling
-    ``learn(ell, shrink)`` and appending ``(ell, price)``.  The batch runs
-    call it once per price epoch, ``step`` once per arrival.
+    ``learn(inst, ell, shrink)``, which reads the first ``ell`` arrivals, and
+    appending ``(ell, price)``.  The batch runs call it once per price epoch,
+    ``step`` once per arrival.
     """
     while len(prices_used) < len(points) and points[len(prices_used)][0] <= t:
         ell, shrink = points[len(prices_used)]
-        prices_used.append((ell, learn(ell, shrink)))
+        prices_used.append((ell, learn(inst, ell, shrink)))
     return prices_used[-1][1] if prices_used else None
 
 
@@ -252,7 +254,7 @@ def run_epochs(inst, eps: float, mode: str, learn) -> RunResult:
     prices_used = []
     ends = [ell for ell, _ in points[1:]] + [inst.n]
     for (ell, _), end in zip(points, ends):
-        price = learn_until(ell, points, prices_used, partial(learn, inst))
+        price = learn_until(ell, points, prices_used, learn, inst)
         decide(price.p, f, consumption, ell, end, remaining, choices)
     return RunResult(choices, objective(rewards, choices), inst.b - remaining, prices_used)
 
@@ -338,42 +340,27 @@ def run_dpa(inst: Instance | MultiInstance, eps: float) -> RunResult:
 class OnlineState:
     """Mutable state for the streaming API; single-owner, advance with step().
 
-    Holds the remaining capacity, the decisions so far (one per arrival),
-    the ``schedule`` of ``(ell, shrink)`` checkpoints with the prices learned
-    at those passed so far (``prices_used``), and the arrivals up to the last
-    checkpoint (the window alone under OLA), which are all that re-learning
-    prices needs.  The row count is ``b.size``.
+    ``inst`` has the stream's m, n and b, and ``step`` writes into it the
+    arrivals before the last ``schedule`` checkpoint, all that learning
+    reads; later rows stay zero.  Also holds the remaining capacity, the
+    decisions so far and the prices learned so far (``prices_used``).
     """
 
-    n: int
-    b: np.ndarray
+    inst: Instance
     schedule: list[tuple[int, float]]
     remaining: np.ndarray
     decisions: list[int] = field(default_factory=list)
     prices_used: list[tuple[int, DualPrice]] = field(default_factory=list)
-    _seen_pi: np.ndarray = field(init=False, repr=False)
-    _seen_a: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        last = self.schedule[-1][0]
-        self._seen_pi = np.empty(last)
-        self._seen_a = np.empty((last, self.b.size))
 
     @classmethod
     def start(cls, m: int, n: int, b, eps: float, mode: str = "dpa") -> "OnlineState":
-        check_count("n", n)
+        """A new stream; m, n and a copy of b are checked exactly as an Instance checks them."""
+        # Checked before np.zeros sees them, with the messages Instance gives.
+        check_count("row count m", m)
+        check_count("arrival count n", n)
         points = schedule(n, eps, mode)
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape != (m,):
-            raise DimensionMismatch(f"b has shape {b.shape}, expected ({m},)")
-        # NaN fails both comparisons.
-        if b.size == 0 or not np.all((b > 0.0) & (b < np.inf)):
-            raise ValueError(f"capacities b must be one or more finite, positive values, got {b}")
-        return cls(n=n, b=b.copy(), schedule=points, remaining=b.copy())
-
-    def _learn(self, ell: int, shrink: float) -> DualPrice:
-        pi, a = self._seen_pi[:ell, None], self._seen_a[:ell, None]
-        return dual_price(solve_boxed_lp(packing_lp(pi, a, self.b, self.n, shrink)))
+        inst = Instance(m, n, np.array(b, dtype=np.float64), np.zeros(n), np.zeros((n, m)))
+        return cls(inst=inst, schedule=points, remaining=inst.b.copy())
 
 
 def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
@@ -381,21 +368,21 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
 
     The state is advanced in place and returned for convenience.  Raises
     TypeError for an arrival that is not a Column, and StreamExhausted once
-    n arrivals have been processed.  The price comes from the same schedule
-    walk as the batch runs, so folding step over an instance's columns
-    reproduces run_ola / run_dpa decision for decision.
+    n arrivals have been processed.  ``learn_price`` learns from
+    ``state.inst`` in the same schedule walk as the batch runs, so folding
+    step over an instance's columns reproduces run_ola / run_dpa exactly.
     """
     if not isinstance(col, Column):
         raise TypeError(f"step takes a Column, got {type(col).__name__}")
-    t = len(state.decisions)
-    if t >= state.n:
-        raise StreamExhausted(f"all {state.n} arrivals already processed")
-    if col.a.size != state.b.size:
-        raise DimensionMismatch(f"column has {col.a.size} rows, state has {state.b.size}")
-    if t < state._seen_pi.size:
-        state._seen_pi[t] = col.pi
-        state._seen_a[t] = col.a
-    price = learn_until(t, state.schedule, state.prices_used, state._learn)
+    inst, t = state.inst, len(state.decisions)
+    if t >= inst.n:
+        raise StreamExhausted(f"all {inst.n} arrivals already processed")
+    if col.a.size != inst.m:
+        raise DimensionMismatch(f"column has {col.a.size} rows, state has {inst.m}")
+    if t < state.schedule[-1][0]:
+        inst.rewards[t] = col.pi
+        inst.consumption[t] = col.a
+    price = learn_until(t, state.schedule, state.prices_used, learn_price, inst)
     choice = [-1]
     if price is not None:
         decide(price.p, [[col.pi]], col.a[None, None, :], 0, 1, state.remaining, choice)

@@ -28,7 +28,7 @@ from .engine import (
 )
 from .generators import shuffle
 from .lp import perturb_rewards, solve_boxed_lp
-from .model import DualPrice, Instance, MultiInstance, RunResult, onehot
+from .model import DualPrice, Instance, MultiInstance, RunResult, check_count, onehot
 from .multi import flatten_lp, run_dpa_multi
 
 __all__ = [
@@ -165,10 +165,8 @@ def run_grid(
     worker processes, never more than there are tasks or ``usable_cpus()``;
     each cell's records come back in trial order either way.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    check_count("trials", trials)
+    check_count("jobs", jobs)
     for algo, eps in cells:
         if algo not in ALGORITHMS:
             raise _unknown(algo)
@@ -235,8 +233,7 @@ def lemma_sample_opt_oracle(
     chooses how much sampling slack to allow on top.  Raises ValueError
     unless 0 < eps < 1 and DegenerateWindow when n*eps < 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials)
     s = sample_size(inst.n, eps)
     opt, _, _ = offline_opt(inst)
     values = []

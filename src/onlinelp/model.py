@@ -58,7 +58,7 @@ def onehot(choices, k: int) -> np.ndarray:
 
 
 def check_count(name: str, value) -> None:
-    """A count of rows, arrivals or options is an integer >= 1, not a bool."""
+    """A count (rows, arrivals, options, trials, workers) is an integer >= 1, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 

@@ -91,19 +91,28 @@ class TestHFactor:
                   MultiColumn(f=[1.0], G=np.ones((2, 1)))),
      TypeError, "step takes a Column, got MultiColumn"),
     (lambda: OnlineState.start(2, 10, np.ones(3), 0.2), DimensionMismatch, "b has shape"),
-    (lambda: OnlineState.start(2, 50, [-1.0, 1.0], 0.2), ValueError, "capacities b must be"),
-    (lambda: OnlineState.start(2, 50, [np.nan, 1.0], 0.2), ValueError, "capacities b must be"),
-    (lambda: OnlineState.start(2, 50, [np.inf, 1.0], 0.2), ValueError, "capacities b must be"),
-    (lambda: OnlineState.start(2, 50, [0.0, 1.0], 0.2), ValueError, "capacities b must be"),
-    (lambda: OnlineState.start(0, 50, [], 0.2), ValueError, "capacities b must be"),
+    (lambda: OnlineState.start(2, 50, [-1.0, 1.0], 0.2), ValueError,
+     "capacities must be strictly positive"),
+    (lambda: OnlineState.start(2, 50, [np.nan, 1.0], 0.2), ValueError,
+     "b contains non-finite entries"),
+    (lambda: OnlineState.start(2, 50, [np.inf, 1.0], 0.2), ValueError,
+     "b contains non-finite entries"),
+    (lambda: OnlineState.start(2, 50, [0.0, 1.0], 0.2), ValueError,
+     "capacities must be strictly positive"),
+    (lambda: OnlineState.start(0, 50, [], 0.2), ValueError, "row count m must be an integer"),
+    (lambda: OnlineState.start(2.0, 50, np.ones(2), 0.2), ValueError,
+     "row count m must be an integer"),
+    (lambda: OnlineState.start(True, 50, np.ones(1), 0.2), ValueError,
+     "row count m must be an integer"),
     (lambda: OnlineState.start(2, 50.5, np.ones(2), 0.2), ValueError, "n must be an integer"),
     (lambda: OnlineState.start(2, 0, np.ones(2), 0.2), ValueError, "n must be an integer"),
     (lambda: OnlineState.start(2, True, np.ones(2), 0.2), ValueError, "n must be an integer"),
     (lambda: h_factor(10, 100, 0.0), ValueError, "eps must be in"),
     (lambda: h_factor(10, 100, 1.0), ValueError, "eps must be in"),
 ], ids=["step column size", "step multi column", "start b shape", "start b negative",
-        "start b nan", "start b inf", "start b zero", "start no rows", "start n fractional",
-        "start n zero", "start n bool", "h_factor eps 0", "h_factor eps 1"])
+        "start b nan", "start b inf", "start b zero", "start no rows", "start m fractional",
+        "start m bool", "start n fractional", "start n zero", "start n bool", "h_factor eps 0",
+        "h_factor eps 1"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
@@ -284,6 +293,19 @@ class TestStreaming:
                 if t >= window and allocation_rule(price, col) and not stream[t]
             ]
             assert blocked, (inst.meta, eps)
+
+    @pytest.mark.parametrize("mode", ["dpa", "ola"])
+    def test_arrivals_after_the_last_checkpoint_are_not_stored(self, mode):
+        inst = generate(GenSpec(kind="routing", seed=5, params=dict(
+            m=3, n=200, q=0.5, capacity=5.0)))
+        state = OnlineState.start(inst.m, inst.n, inst.b, 0.1, mode=mode)
+        for col in inst.columns():
+            step(state, col)
+        last = state.schedule[-1][0]
+        assert np.array_equal(state.inst.rewards[:last], inst.rewards[:last])
+        assert np.array_equal(state.inst.consumption[:last], inst.consumption[:last])
+        assert not state.inst.rewards[last:].any()
+        assert not state.inst.consumption[last:].any()
 
     def test_stream_exhausted(self):
         inst = unit_instance([1.0, 2.0], 1.0)

@@ -163,8 +163,15 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_must_be_positive(self, jobs):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
             run_trials(routing(), "dpa", 0.1, trials=1, jobs=jobs)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True])
+    def test_counts_must_be_integers(self, count):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            run_trials(routing(), "ola", 0.1, count)
+        with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+            run_trials(routing(), "ola", 0.1, trials=1, jobs=count)
 
 
 class TestRunGrid:
@@ -199,8 +206,13 @@ class TestRunGrid:
         monkeypatch.setattr(harness, "offline_opt", None)  # calling it would raise TypeError
         with pytest.raises(ValueError, match="unknown algorithm 'magic'"):
             run_grid(routing(), [("ola", 0.1), ("magic", 0.1)], trials=1)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             run_grid(routing(), self.CELLS, trials=0)
+        for count in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                run_grid(routing(), self.CELLS, trials=count)
+            with pytest.raises(ValueError, match="jobs must be an integer >= 1"):
+                run_grid(routing(), self.CELLS, trials=1, jobs=count)
         with pytest.raises(ValueError, match="eps must be in"):
             run_grid(routing(), [("dpa", 1.5)], trials=2)
         with pytest.raises(ValueError, match="eps must be in"):
@@ -272,8 +284,11 @@ class TestLemmaSampleOpt:
         for eps in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="eps must be in"):
                 lemma_sample_opt_oracle(inst, eps, trials=1)
-        with pytest.raises(ValueError, match="trials must be >= 1"):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             lemma_sample_opt_oracle(inst, 0.1, trials=0)
+        for count in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+                lemma_sample_opt_oracle(inst, 0.1, trials=count)
 
 
 class TestColumnSampling:

@@ -1,7 +1,7 @@
 """Module boundaries: no module reaches into a sibling's private names or
 imports a sibling at call time, instance generation does not import the
-policy, one function builds every LP, and the schedule is computed in one
-place.
+policy, one function builds every LP, the batch runs and the stream learn their
+prices through one function, and the schedule is computed in one place.
 
 Every ``from .<sibling> import _name``, and every import from a private
 ``._module``, couples a module to another's internals.
@@ -57,12 +57,27 @@ def test_no_imports_inside_functions():
     assert found == []
 
 
+def _is_call(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "id", getattr(node.func, "attr", None)) == name
+
+
 def _calls(path: Path, name: str) -> list[str]:
     return [
         f"{path.name}:{node.lineno}"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+        if _is_call(node, name)
+    ]
+
+
+def _callers(path: Path, name: str) -> list[str]:
+    """The function around each call of ``name`` in ``path``, as ``module.function``."""
+    return [
+        f"{path.stem}.{func.name}"
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if _is_call(node, name)
     ]
 
 
@@ -71,6 +86,15 @@ def test_one_lp_builder():
     modules = sorted(Path(onlinelp.__file__).parent.glob("*.py"))
     calls = [site for path in modules if path.name != "lp.py" for site in _calls(path, "BoxedLp")]
     assert len(calls) == 1, calls
+
+
+def test_one_learner():
+    """The batch runs and the stream learn prices through one function."""
+    package = Path(onlinelp.__file__).parent
+    assert _callers(package / "engine.py", "solve_boxed_lp") == ["engine.learn_price"]
+    modules = sorted(package.glob("*.py"))
+    callers = [site for path in modules for site in _callers(path, "packing_lp")]
+    assert callers == ["engine.sample_lp", "harness.column_sample_solve"]
 
 
 def test_one_schedule():
