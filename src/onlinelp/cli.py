@@ -24,7 +24,7 @@ from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
 from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_grid, usable_cpus
 # Unused here: benchmarks/tracer.py wraps ``cli.run_trials`` and fails if the
-# name is gone (ROADMAP item 1 retargets it to ``run_grid``).
+# name is gone (ROADMAP item 2 retargets it to ``run_grid``).
 from .harness import run_trials  # noqa: F401
 from .model import MultiInstance, load_instance, real, save_instance
 

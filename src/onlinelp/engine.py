@@ -14,21 +14,26 @@ model and both keeping every capacity constraint satisfied at every step:
 
 Both are one loop, written once here and shared with the multi-choice
 policy and the harness.  ``schedule`` lists the checkpoints at which prices
-are learned and the capacity shrink of each, ``learn_until`` walks that list
-up to an arrival and returns the price that governs it, and ``decide``
-applies the price rule and the capacity guard to a range of arrivals under
-one price.  ``run_epochs`` is the batch walk, one price epoch at a time, and
-``step`` the one-arrival walk, which keeps a stream's arrivals in an
-``Instance``; both learn through ``learn_price``, so folding ``step`` over
-an instance's columns reproduces the batch runs exactly.  ``packing_lp``
-builds every LP the package solves (prefix, offline and sampled),
-``sample_lp`` is its prefix/offline front end and ``dual_price`` reads the
-row prices off a solution.  All of them read the k-option view of
-``options``, in which a scalar instance is a multi-choice one with k = 1,
-so every policy takes either instance kind and returns a ``RunResult`` with
-the option each arrival took.  ``allocation_rule`` and
-``multi_allocation_rule`` apply the price rule to one ``Column`` or
-``MultiColumn``.
+are learned and the capacity shrink of each, and ``learn_until`` walks that
+list up to an arrival and returns the price that governs it.  ``choose`` is
+the price rule for one arrival, one dot product per option, and ``decide``
+applies it and the capacity guard to a range of arrivals under one price:
+one matrix product prices the range, an error bound on its rounding settles
+every arrival it can, ``choose`` decides the rounding ties, and the guard
+subtracts the accepted columns with ``np.subtract.accumulate``, so every
+decision is bitwise that of ``choose`` and a one-at-a-time guard.
+``run_epochs`` is the batch walk, one price epoch at a time, and ``step``
+the one-arrival walk, which applies ``choose`` and the guard directly and
+keeps a stream's arrivals in an ``Instance``; both learn through
+``learn_price``, so folding ``step`` over an instance's columns reproduces
+the batch runs exactly.  ``packing_lp`` builds every LP the package solves
+(prefix, offline and sampled), ``sample_lp`` is its prefix/offline front
+end and ``dual_price`` reads the row prices off a solution.  All of them
+read the k-option view of ``options``, in which a scalar instance is a
+multi-choice one with k = 1, so every policy takes either instance kind and
+returns a ``RunResult`` with the option each arrival took.
+``allocation_rule`` and ``multi_allocation_rule`` apply ``choose`` to one
+``Column`` or ``MultiColumn``.
 """
 
 from __future__ import annotations
@@ -183,17 +188,53 @@ def dual_price(sol) -> DualPrice:
     return DualPrice(p=np.maximum(sol.dual, 0.0))
 
 
+def choose(p, f, cols) -> int:
+    """The price rule for one arrival: its option with the largest positive surplus, or -1.
+
+    ``f[j]`` and ``cols[j]`` are option j's reward and consumption.  The
+    surplus ``f[j] - p . cols[j]`` takes one dot product per option on its
+    contiguous row (``ndarray.dot`` is ``np.dot`` without the dispatch).
+    Every decision of every policy is this rule's, bit for bit: ``step`` and
+    the allocation rules call it, and ``decide`` calls it wherever its
+    matrix product leaves a rounding tie.
+    """
+    best, r = 0.0, -1
+    for j in range(len(f)):
+        surplus = f[j] - float(p.dot(cols[j]))
+        if surplus > best:
+            best, r = surplus, j
+    return r
+
+
 def decide(p, rewards, consumption, lo: int, hi: int, remaining, choices) -> int:
     """Apply the price rule and the capacity guard to arrivals ``lo .. hi-1``.
 
-    ``rewards[t][j]`` and ``consumption[t, j]`` are option j of arrival t in
-    the k-option view (see ``options``); rewards read fastest as nested
-    lists.  Arrival t takes the option with the largest surplus
-    ``f_j - p . G[:, j]`` when that surplus is positive and the option's
-    consumption fits ``remaining`` in every row; the choice is written to
-    ``choices[t]`` and subtracted from ``remaining`` in place.  Entries of
-    ``choices`` for declined arrivals are left untouched.  Returns the number
-    of guard rejections: arrivals the rule accepted that did not fit.
+    ``rewards[t, j]`` and ``consumption[t, j]`` are option j of arrival t in
+    the k-option view (see ``options``).  Arrival t takes the option with
+    the largest surplus ``f_j - p . G[:, j]`` when that surplus is positive
+    and the option's consumption fits ``remaining`` in every row; the choice
+    is written to ``choices[t]`` and subtracted from ``remaining`` in place.
+    Entries of ``choices`` for declined arrivals are left untouched.
+    Returns the number of guard rejections: arrivals the rule accepted that
+    did not fit.
+
+    The whole range is priced with one matrix product, and an arrival is
+    decided from it only where rounding cannot change the outcome.  The
+    product sums each ``p . a`` in another order than ``choose``'s dot, but
+    with prices and consumption nonnegative either sum is within
+    ``m 2^-53 p.a`` of the exact one, and the subtraction adds at most
+    ``2^-53 (f + p.a)``; ``e = 4 (m+2) 2^-53 (f + p.a)`` is twice their sum
+    (the smallest normal added inside covers underflow).  An arrival whose
+    best surplus exceeds its ``e`` and beats every other option's by more
+    than the two ``e``, or whose every surplus is below ``-e``, gets
+    ``choose``'s decision bit for bit; every other one, a rounding tie, goes
+    through ``choose`` itself.  The guard walks the accepted arrivals in
+    order with ``np.subtract.accumulate``, the same sequential subtractions
+    as ``remaining -= a``, up to the first that does not fit.  It rejects
+    that one, and every later candidate of the window that no longer fits
+    (``remaining`` only shrinks, so it never will); the next window is twice
+    the stretch just walked, so the work stays linear in the range however
+    the rejections fall.
 
     Tie conventions, shared by every policy:
 
@@ -206,28 +247,40 @@ def decide(p, rewards, consumption, lo: int, hi: int, remaining, choices) -> int
     * ``greedy_baseline``, which ignores prices, takes the highest-reward
       option that fits, the lowest index on equal reward.
     """
-    k = consumption.shape[1]
-    rejected = 0
-    for t in range(lo, hi):
-        f = rewards[t]
-        best, r, a = 0.0, -1, None
-        for j in range(k):
-            # One dot product per option on its contiguous row (ndarray.dot
-            # is np.dot without the dispatch) keeps decisions bitwise with
-            # the per-column rule: a batched product rounds differently, and
-            # adwords decisions hang on that last bit.
-            col = consumption[t, j]
-            surplus = f[j] - float(p.dot(col))
-            if surplus > best:
-                best, r, a = surplus, j, col
-        if r < 0:
-            continue
-        if (a <= remaining).all():
-            remaining -= a
-            choices[t] = r
-        else:
-            rejected += 1
-    return rejected
+    f, G = rewards[lo:hi], consumption[lo:hi]
+    h, k, m = G.shape
+    rows = np.arange(h)
+    # A priced column that overflows gives inf and NaN below; they fail
+    # every test, so its arrival goes to ``choose``, as any tie does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        priced = (G.reshape(h * k, m) @ p).reshape(h, k)
+        surplus = f - priced
+        err = (4 * (m + 2) * 2.0**-53) * (f + priced + np.finfo(np.float64).smallest_normal)
+        pick = surplus.argmax(axis=1)
+        top, top_err = surplus[rows, pick], err[rows, pick]
+        rival = surplus + err
+        rival[rows, pick] = -np.inf
+        take = (top > top_err) & (top - rival.max(axis=1) > top_err)
+        unsure = np.flatnonzero(~take & ~(surplus < -err).all(axis=1))
+    pick[~take] = -1
+    for i, fi in zip(unsure.tolist(), f[unsure].tolist()):
+        pick[i] = choose(p, fi, G[i])
+    cand = np.flatnonzero(pick >= 0)
+    cols = G[cand, pick[cand]]
+    kept, start, width = [cand[:0]], 0, cand.size
+    while start < cand.size:
+        block = cols[start:start + width]
+        live = np.flatnonzero((block <= remaining).all(axis=1))
+        run = np.subtract.accumulate(np.concatenate((remaining[None], block[live])))
+        fits = (block[live] <= run[:-1]).all(axis=1)
+        c = live.size if fits.all() else int(fits.argmin())
+        kept.append(start + live[:c])
+        remaining[:] = run[c]
+        stop = int(live[c]) + 1 if c < live.size else block.shape[0]
+        start, width = start + stop, 2 * stop
+    taken = cand[np.concatenate(kept)]
+    choices[lo + taken] = pick[taken]
+    return cand.size - taken.size
 
 
 def price_rule(p, rewards, consumption) -> np.ndarray:
@@ -250,12 +303,11 @@ def run_epochs(inst, eps: float, mode: str, learn) -> RunResult:
     points = schedule(inst.n, eps, mode)
     remaining = np.array(inst.b, dtype=np.float64)
     choices = np.full(inst.n, -1, dtype=np.int64)
-    f = rewards.tolist()
     prices_used = []
     ends = [ell for ell, _ in points[1:]] + [inst.n]
     for (ell, _), end in zip(points, ends):
         price = learn_until(ell, points, prices_used, learn, inst)
-        decide(price.p, f, consumption, ell, end, remaining, choices)
+        decide(price.p, rewards, consumption, ell, end, remaining, choices)
     return RunResult(choices, objective(rewards, choices), inst.b - remaining, prices_used)
 
 
@@ -279,7 +331,7 @@ def multi_allocation_rule(price: DualPrice, col: MultiColumn) -> int | None:
         raise DimensionMismatch(
             f"price has {price.p.size} rows, column consumption has {col.G.shape[0]}"
         )
-    r = int(price_rule(price.p, [col.f.tolist()], np.ascontiguousarray(col.G.T)[None])[0])
+    r = choose(price.p, col.f, np.ascontiguousarray(col.G.T))
     return None if r < 0 else r
 
 
@@ -359,7 +411,10 @@ class OnlineState:
         check_count("row count m", m)
         check_count("arrival count n", n)
         points = schedule(n, eps, mode)
-        inst = Instance(m, n, np.array(b, dtype=np.float64), np.zeros(n), np.zeros((n, m)))
+        # A one-arrival Instance checks m and b; its arrival rows are then
+        # widened to n zero rows, which need no scan.
+        inst = Instance(m, 1, np.array(b, dtype=np.float64), np.zeros(1), np.zeros((1, m)))
+        inst.n, inst.rewards, inst.consumption = n, np.zeros(n), np.zeros((n, m))
         return cls(inst=inst, schedule=points, remaining=inst.b.copy())
 
 
@@ -383,10 +438,11 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
         inst.rewards[t] = col.pi
         inst.consumption[t] = col.a
     price = learn_until(t, state.schedule, state.prices_used, learn_price, inst)
-    choice = [-1]
-    if price is not None:
-        decide(price.p, [[col.pi]], col.a[None, None, :], 0, 1, state.remaining, choice)
-    decision = int(choice[0] >= 0)
+    decision = 0
+    if (price is not None and choose(price.p, (col.pi,), (col.a,)) == 0
+            and (col.a <= state.remaining).all()):
+        state.remaining -= col.a
+        decision = 1
     state.decisions.append(decision)
     return decision, state
 

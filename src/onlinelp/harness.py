@@ -15,6 +15,7 @@ every column with a dual learned from a random sample.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -178,7 +179,10 @@ def run_grid(
     workers = min(jobs, len(tasks), usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_one_trial, tasks))  # a failed task cancels the rest
+            # About four chunks per worker: few round trips, and a slow chunk
+            # near the end leaves little idle time.  A failed task cancels the rest.
+            chunk = math.ceil(len(tasks) / (4 * workers))
+            records = list(pool.map(_one_trial, tasks, chunksize=chunk))
     else:
         records = list(map(_one_trial, tasks))
     for i, stats in enumerate(grid):
@@ -218,7 +222,7 @@ def lemma_kkt_oracle(
     pert = perturb_rewards(inst, eta, seed)
     _, x, price = offline_opt(pert)
     rewards, consumption = options(pert)
-    ruled = onehot(price_rule(price.p, rewards.tolist(), consumption), rewards.shape[1])
+    ruled = onehot(price_rule(price.p, rewards, consumption), rewards.shape[1])
     return int(np.sum(np.any(np.abs(x.reshape(ruled.shape) - ruled) > 1e-9, axis=1)))
 
 
@@ -275,7 +279,7 @@ def column_sample_solve(
     price = dual_price(solve_boxed_lp(lp))
     remaining = inst.b.copy()
     choices = np.full(inst.n, -1, dtype=np.int64)
-    blocked = decide(price.p, rewards.tolist(), consumption, 0, inst.n, remaining, choices)
+    blocked = decide(price.p, rewards, consumption, 0, inst.n, remaining, choices)
     return ColumnSampleResult(
         x=onehot(choices, rewards.shape[1]).astype(np.int8).reshape(inst.rewards.shape),
         objective=objective(rewards, choices),

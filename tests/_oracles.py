@@ -6,7 +6,9 @@ a "free" set F matched by an equally sized set T of tight rows with
 A[T, F] nonsingular.  Sweeping all (F, T) pairs and all bound patterns of
 the pinned columns is exponential, but exact — fine for m <= 3, s <= 6.
 ``cs_report_loop`` is the complementary-slackness report written as plain
-loops, the reference for ``verify_complementary_slackness``.
+loops, the reference for ``verify_complementary_slackness``, and
+``decide_loop`` is the price rule and capacity guard one arrival at a time,
+the reference for ``engine.decide``.
 """
 
 import itertools
@@ -133,3 +135,30 @@ def cs_report_loop(lp, sol, tol=1e-7):
             if rc[j] < u[t] - tol_price and sol.x[j] > tol:
                 out.append(CsViolation("reduced_cost_lower", j, float((u[t] - rc[j]) * sol.x[j])))
     return out
+
+
+def decide_loop(p, rewards, consumption, lo, hi, remaining, choices):
+    """Reference decide loop: ``engine.decide``'s contract, one arrival and one option at a time.
+
+    Arguments, effects and return value are ``decide``'s.  Each surplus is
+    one dot product on the option's contiguous row, and the guard subtracts
+    one accepted column at a time.
+    """
+    k = consumption.shape[1]
+    rejected = 0
+    for t in range(lo, hi):
+        f = rewards[t]
+        best, r, a = 0.0, -1, None
+        for j in range(k):
+            col = consumption[t, j]
+            surplus = f[j] - float(p.dot(col))
+            if surplus > best:
+                best, r, a = surplus, j, col
+        if r < 0:
+            continue
+        if (a <= remaining).all():
+            remaining -= a
+            choices[t] = r
+        else:
+            rejected += 1
+    return rejected

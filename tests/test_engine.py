@@ -26,6 +26,10 @@ from onlinelp import (
     solve_boxed_lp,
     step,
 )
+from onlinelp import engine
+from onlinelp.engine import decide, options, price_rule
+
+from _oracles import decide_loop
 
 
 def unit_instance(rewards, b):
@@ -133,6 +137,124 @@ class TestAllocationRule:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             allocation_rule(DualPrice(p=np.zeros(2)), Column(pi=1.0, a=np.array([1.0])))
+
+
+def assert_decide_matches_loop(p, rewards, consumption, lo, hi, remaining):
+    """``decide`` and the one-arrival loop give the same choices, remaining and rejections."""
+    got_left, want_left = remaining.copy(), remaining.copy()
+    got, want = np.full(rewards.shape[0], -1), np.full(rewards.shape[0], -1)
+    got_rejected = decide(p, rewards, consumption, lo, hi, got_left, got)
+    want_rejected = decide_loop(p, rewards.tolist(), consumption, lo, hi, want_left, want)
+    assert got_rejected == want_rejected
+    assert np.array_equal(got, want)
+    assert got_left.tobytes() == want_left.tobytes()
+    return got, got_rejected
+
+
+DECIDE_SPECS = {
+    "routing": GenSpec("routing", 3, dict(m=5, n=400, q=0.5, capacity=20.0)),
+    "secretary heavy tail": GenSpec("secretary", 4, dict(
+        n=400, k=20, reward_dist="heavy_tail", sigma=7.0)),
+    "adwords k=3": GenSpec("adwords", 2, dict(n=400, m=3)),
+    "yield": GenSpec("yield", 5, dict(horizon=100.0, rate=6.0)),
+}
+
+
+class TestDecide:
+    """The vector ``decide`` against the one-arrival loop of ``_oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("kind", DECIDE_SPECS)
+    def test_matches_loop(self, kind):
+        inst = generate(DECIDE_SPECS[kind])
+        rewards, consumption = options(inst)
+        n, m = inst.n, inst.m
+        if kind == "secretary heavy tail":
+            assert rewards.max() / rewards.min() > 1e12
+        prices = [learn_price(inst, n // 10, 0.1).p, learn_price(inst, n // 2, 0.05).p,
+                  np.zeros(m)]
+        for p in prices:
+            for remaining in (inst.b, 0.05 * inst.b, np.full(m, np.inf)):
+                for lo, hi in ((0, n), (n // 10, n), (n // 3, n // 2), (n // 2, n // 2),
+                               (n - 1, n)):
+                    assert_decide_matches_loop(p, rewards, consumption, lo, hi, remaining)
+
+    @pytest.mark.parametrize("kind", DECIDE_SPECS)
+    def test_price_rule_is_the_unlimited_loop(self, kind):
+        inst = generate(DECIDE_SPECS[kind])
+        rewards, consumption = options(inst)
+        p = learn_price(inst, inst.n // 10, 0.1).p
+        want, rejected = assert_decide_matches_loop(
+            p, rewards, consumption, 0, inst.n, np.full(inst.m, np.inf))
+        assert rejected == 0
+        assert np.array_equal(price_rule(p, rewards, consumption), want)
+
+    def test_rounding_ties_go_through_choose(self, monkeypatch):
+        """After the window every adwords surplus is a rounding tie; routing's are clear."""
+        calls = []
+        choose = engine.choose
+        monkeypatch.setattr(engine, "choose", lambda *a: calls.append(1) or choose(*a))
+        for kind, ties in (("routing", False), ("adwords k=3", True)):
+            calls.clear()
+            inst = generate(DECIDE_SPECS[kind])
+            rewards, consumption = options(inst)
+            ell = inst.n // 10
+            p = learn_price(inst, ell, 0.1).p
+            assert_decide_matches_loop(p, rewards, consumption, ell, inst.n, inst.b)
+            assert bool(calls) == ties
+
+    def test_hand_made_near_ties(self):
+        one, up = 1.0, np.nextafter(1.0, 2.0)
+        cases = [
+            # (price, rewards of the k = 2 options, their consumption, expected option)
+            ([0.0], [one, up], [[0.5], [0.5]], 1),        # one ulp apart
+            ([0.0], [up, one], [[0.5], [0.5]], 0),
+            ([0.0], [one, one], [[0.5], [0.5]], 0),       # equal: the lowest index
+            ([2.0], [1.0, 0.5], [[0.5], [0.25]], -1),     # both priced exactly at their reward
+            ([2.0], [1.0, up / 2], [[0.5], [0.25]], 1),   # the first priced exactly
+            ([2.0], [np.nextafter(1.0, 0.0), 1.0], [[0.5], [0.5]], -1),
+            ([1.0, 1.0], [0.3, 0.3], [[0.1, 0.2], [0.2, 0.1]], None),
+            ([0.1, 0.7], [0.3, 0.3], [[0.3, 0.3], [0.6, 0.0]], None),
+        ]
+        for p, f, cols, expected in cases:
+            rewards = np.array([f])
+            consumption = np.array([cols], dtype=np.float64)
+            p = np.array(p)
+            got, _ = assert_decide_matches_loop(p, rewards, consumption, 0, 1, np.ones(p.size))
+            if expected is not None:
+                assert got[0] == expected, (p, f, cols)
+
+    def test_ties_where_the_product_rounds_differently(self):
+        """Rewards set to the per-option dot itself, where the matrix product differs in the last bit."""
+        rng = np.random.default_rng(0)
+        p, consumption = rng.random(5), rng.random((400, 2, 5))
+        dots = np.array([[float(p.dot(col)) for col in arrival] for arrival in consumption])
+        assert (consumption.reshape(-1, 5) @ p != dots.reshape(-1)).sum() > 100
+        # priced exactly at its reward: every arrival is declined
+        got, _ = assert_decide_matches_loop(p, dots[:, :1], consumption[:, :1], 0, 400,
+                                            np.full(5, np.inf))
+        assert (got == -1).all()
+        # two options whose surpluses tie or differ in the last bits
+        assert_decide_matches_loop(p, dots + 0.5, consumption, 0, 400, np.full(5, np.inf))
+        assert_decide_matches_loop(p, dots + 0.5, consumption, 0, 400, np.full(5, 20.0))
+
+    def test_rejection_dense_guard(self):
+        """Capacity 40 and a zero price: nearly every one of 20000 arrivals is a guard rejection."""
+        inst = generate(GenSpec("routing", 0, dict(m=5, n=20000, q=0.5, capacity=40.0)))
+        rewards, consumption = options(inst)
+        _, rejected = assert_decide_matches_loop(
+            np.zeros(inst.m), rewards, consumption, 0, inst.n, inst.b)
+        assert rejected > 19000
+
+    def test_guard_with_a_rejection_after_every_accept(self):
+        """Each small column makes the next large one miss by half a small one."""
+        n = 2000
+        small = 0.5 / n
+        a = np.empty(n)
+        a[0::2] = small
+        a[1::2] = 1.0 - (np.arange(n // 2) + 0.5) * small
+        _, rejected = assert_decide_matches_loop(
+            np.zeros(1), np.ones((n, 1)), a[:, None, None].copy(), 0, n, np.ones(1))
+        assert rejected == n // 2
 
 
 class TestLearnPrice:

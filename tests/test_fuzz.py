@@ -1,7 +1,8 @@
-"""Property tests of the instance reader and the command line, driven by Hypothesis.
+"""Property tests of the instance reader, the decide kernel and the command line, driven by Hypothesis.
 
 Any text either loads as an instance or raises ``ParseError``, the writer's
-output reads back bit for bit, and a malformed command line ends in exit 2
+output reads back bit for bit, ``engine.decide`` makes the decisions of the
+one-arrival loop bit for bit, and a malformed command line ends in exit 2
 or 3 with one line on stderr, never a traceback.  Examples are derandomized
 and no example database is kept, so a run is reproducible.
 """
@@ -24,6 +25,7 @@ from onlinelp import Instance, MultiInstance, ParseError, gen_routing, save_inst
 from onlinelp import instance_from_json, instance_to_json  # noqa: E402
 from onlinelp.cli import main  # noqa: E402
 
+from test_engine import assert_decide_matches_loop  # noqa: E402
 from test_model import BEYOND_PARSER  # noqa: E402
 
 FUZZ = settings(database=None, deadline=None, derandomize=True)
@@ -143,6 +145,43 @@ def test_written_instance_reads_back_bit_for_bit(inst):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes(), name
     assert back.meta == (inst.meta or None)
+
+
+# Entries of the decide inputs: mostly short decimals, whose sums and
+# products tie or differ in the last bit, else any value of the entry's range.
+decimals = st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 1.0])
+
+
+@st.composite
+def decide_inputs(draw):
+    """A price, arrivals in the k-option view, a remaining capacity and a range lo..hi."""
+    m, n, k = draw(st.integers(1, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+
+    def grid(elements, shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
+                        dtype=np.float64).reshape(shape)
+
+    # Each priced column, at most 4 terms, stays finite: overflow warns in the loop too.
+    p = grid(mostly(decimals | st.floats(0.0, 2.0), st.floats(0.0, np.finfo(np.float64).max / 8)),
+             (m,))
+    f = grid(mostly(decimals, rewards), (n, k))
+    G = grid(mostly(decimals | usage, usage), (n, k, m))
+    # Some options are priced exactly at their reward by the per-option dot,
+    # a tie that the matrix product may break either way in the last bit.
+    for t in range(n):
+        for j in range(k):
+            if draw(st.booleans()):
+                f[t, j] = float(p.dot(G[t, j]))
+    remaining = grid(mostly(st.sampled_from([0.3, 1.0, math.inf]), capacities), (m,))
+    lo = draw(st.integers(0, n))
+    return p, f, G, lo, draw(st.integers(lo, n)), remaining
+
+
+@settings(FUZZ, max_examples=150)
+@given(decide_inputs())
+def test_decide_matches_the_one_arrival_loop(inputs):
+    assert_decide_matches_loop(*inputs)
 
 
 # Flag values that break each kind of flag: argparse rejects most (exit 2);
