@@ -18,10 +18,10 @@ are learned and the capacity shrink of each, and ``learn_until`` walks that
 list up to an arrival and returns the price that governs it.  ``choose`` is
 the price rule for one arrival, one dot product per option, and ``decide``
 applies it and the capacity guard to a range of arrivals under one price:
-one matrix product prices the range, an error bound on its rounding settles
-every arrival it can, ``choose`` decides the rounding ties, and the guard
-subtracts the accepted columns with ``np.subtract.accumulate``, so every
-decision is bitwise that of ``choose`` and a one-at-a-time guard.
+one stacked matrix product prices the range with the same dot kernel, and
+the guard subtracts the accepted columns with ``np.subtract.accumulate``, so
+every decision, rounding ties included, is bitwise that of ``choose`` and a
+one-at-a-time guard.
 ``run_epochs`` is the batch walk, one price epoch at a time, and ``step``
 the one-arrival walk, which applies ``choose`` and the guard directly and
 keeps a stream's arrivals in an ``Instance``; both learn through
@@ -195,8 +195,9 @@ def choose(p, f, cols) -> int:
     surplus ``f[j] - p . cols[j]`` takes one dot product per option on its
     contiguous row (``ndarray.dot`` is ``np.dot`` without the dispatch).
     Every decision of every policy is this rule's, bit for bit: ``step`` and
-    the allocation rules call it, and ``decide`` calls it wherever its
-    matrix product leaves a rounding tie.
+    the allocation rules call it, and ``decide`` prices a whole range with a
+    stacked matrix product that numpy computes, item by item, with this same
+    dot kernel.
     """
     best, r = 0.0, -1
     for j in range(len(f)):
@@ -218,23 +219,16 @@ def decide(p, rewards, consumption, lo: int, hi: int, remaining, choices) -> int
     Returns the number of guard rejections: arrivals the rule accepted that
     did not fit.
 
-    The whole range is priced with one matrix product, and an arrival is
-    decided from it only where rounding cannot change the outcome.  The
-    product sums each ``p . a`` in another order than ``choose``'s dot, but
-    with prices and consumption nonnegative either sum is within
-    ``m 2^-53 p.a`` of the exact one, and the subtraction adds at most
-    ``2^-53 (f + p.a)``; ``e = 4 (m+2) 2^-53 (f + p.a)`` is twice their sum
-    (the smallest normal added inside covers underflow).  An arrival whose
-    best surplus exceeds its ``e`` and beats every other option's by more
-    than the two ``e``, or whose every surplus is below ``-e``, gets
-    ``choose``'s decision bit for bit; every other one, a rounding tie, goes
-    through ``choose`` itself.  The guard walks the accepted arrivals in
-    order with ``np.subtract.accumulate``, the same sequential subtractions
-    as ``remaining -= a``, up to the first that does not fit.  It rejects
-    that one, and every later candidate of the window that no longer fits
-    (``remaining`` only shrinks, so it never will); the next window is twice
-    the stretch just walked, so the work stays linear in the range however
-    the rejections fall.
+    The whole range is priced with one stacked matrix product, whose every
+    (1 x m)(m x 1) item numpy computes with the dot kernel of ``ndarray.dot``,
+    so each surplus is bitwise that of ``choose`` and each arrival, rounding
+    ties included, gets ``choose``'s decision.  The guard walks the accepted
+    arrivals in order with ``np.subtract.accumulate``, the same sequential
+    subtractions as ``remaining -= a``, up to the first that does not fit.
+    It rejects that one, and every later candidate of the window that no
+    longer fits (``remaining`` only shrinks, so it never will); the next
+    window is twice the stretch just walked, so the work stays linear in the
+    range however the rejections fall.
 
     Tie conventions, shared by every policy:
 
@@ -248,23 +242,13 @@ def decide(p, rewards, consumption, lo: int, hi: int, remaining, choices) -> int
       option that fits, the lowest index on equal reward.
     """
     f, G = rewards[lo:hi], consumption[lo:hi]
-    h, k, m = G.shape
-    rows = np.arange(h)
-    # A priced column that overflows gives inf and NaN below; they fail
-    # every test, so its arrival goes to ``choose``, as any tie does.
+    # A priced column that overflows gives a surplus of -inf (NaN against an
+    # infinite reward); ``fmax`` sends both to 0, no positive surplus, so the
+    # option never wins, as in ``choose``.
     with np.errstate(over="ignore", invalid="ignore"):
-        priced = (G.reshape(h * k, m) @ p).reshape(h, k)
-        surplus = f - priced
-        err = (4 * (m + 2) * 2.0**-53) * (f + priced + np.finfo(np.float64).smallest_normal)
-        pick = surplus.argmax(axis=1)
-        top, top_err = surplus[rows, pick], err[rows, pick]
-        rival = surplus + err
-        rival[rows, pick] = -np.inf
-        take = (top > top_err) & (top - rival.max(axis=1) > top_err)
-        unsure = np.flatnonzero(~take & ~(surplus < -err).all(axis=1))
-    pick[~take] = -1
-    for i, fi in zip(unsure.tolist(), f[unsure].tolist()):
-        pick[i] = choose(p, fi, G[i])
+        surplus = np.fmax(f - (G[:, :, None, :] @ p[:, None])[:, :, 0, 0], 0.0)
+    pick = surplus.argmax(axis=1)
+    pick[surplus[np.arange(f.shape[0]), pick] == 0.0] = -1
     cand = np.flatnonzero(pick >= 0)
     cols = G[cand, pick[cand]]
     kept, start, width = [cand[:0]], 0, cand.size

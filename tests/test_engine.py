@@ -144,11 +144,23 @@ def assert_decide_matches_loop(p, rewards, consumption, lo, hi, remaining):
     got_left, want_left = remaining.copy(), remaining.copy()
     got, want = np.full(rewards.shape[0], -1), np.full(rewards.shape[0], -1)
     got_rejected = decide(p, rewards, consumption, lo, hi, got_left, got)
-    want_rejected = decide_loop(p, rewards.tolist(), consumption, lo, hi, want_left, want)
+    # ``decide`` runs outside any errstate, so an overflow warning it lets out
+    # fails the test; the reference loop's own warnings are not its concern.
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_rejected = decide_loop(p, rewards.tolist(), consumption, lo, hi, want_left, want)
     assert got_rejected == want_rejected
     assert np.array_equal(got, want)
     assert got_left.tobytes() == want_left.tobytes()
     return got, got_rejected
+
+
+def numpy_build() -> str:
+    """numpy's version and the BLAS it was built with, for failure messages."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.26 prints its config and returns None
+        return f"numpy {np.__version__}"
+    return f"numpy {np.__version__} with BLAS {blas.get('name')} {blas.get('version')}"
 
 
 DECIDE_SPECS = {
@@ -162,6 +174,32 @@ DECIDE_SPECS = {
 
 class TestDecide:
     """The vector ``decide`` against the one-arrival loop of ``_oracles``, bit for bit."""
+
+    @pytest.mark.parametrize("k", [1, 3, 20])
+    def test_stacked_product_is_the_per_option_dot(self, k):
+        """``decide``'s premise: each stacked product item is ``choose``'s ``p.dot``, bitwise."""
+        rng = np.random.default_rng(k)
+        h, products = 12, []
+        for m in range(1, 51):
+            # Entries over 400 decades, some zero: products under- and overflow.
+            p = rng.random(m) * 10.0 ** rng.integers(-200, 200, m)
+            G = rng.random((h, k, m)) * 10.0 ** rng.integers(-200, 200, (h, k, m))
+            p[rng.random(m) < 0.1], G[rng.random(G.shape) < 0.1] = 0.0, 0.0
+            wide = np.zeros((h, k, 2 * m))
+            wide[..., ::2] = G
+            for layout, C in (("C", G), ("Fortran", np.asfortranarray(G)),
+                              ("strided", wide[..., ::2])):
+                with np.errstate(over="ignore"):
+                    got = (C[..., None, :] @ p[:, None])[..., 0, 0]
+                    want = np.array([[float(p.dot(C[i, j])) for j in range(k)] for i in range(h)])
+                differ = int((got.view(np.int64) != want.view(np.int64)).sum())
+                assert differ == 0, (
+                    f"m={m} k={k} {layout}: {differ} of {got.size} stacked products differ "
+                    f"from p.dot under {numpy_build()}")
+                products.append(got)
+        products = np.concatenate([q.reshape(-1) for q in products])
+        finite = products[np.isfinite(products)]
+        assert finite.size < products.size and (finite > 1e200).any() and (finite < 1e-200).any()
 
     @pytest.mark.parametrize("kind", DECIDE_SPECS)
     def test_matches_loop(self, kind):
@@ -188,19 +226,22 @@ class TestDecide:
         assert rejected == 0
         assert np.array_equal(price_rule(p, rewards, consumption), want)
 
-    def test_rounding_ties_go_through_choose(self, monkeypatch):
-        """After the window every adwords surplus is a rounding tie; routing's are clear."""
+    def test_rounding_ties_are_decided_without_choose(self, monkeypatch):
+        """Adwords has surpluses zero up to rounding, routing none; neither calls ``choose``."""
         calls = []
         choose = engine.choose
         monkeypatch.setattr(engine, "choose", lambda *a: calls.append(1) or choose(*a))
         for kind, ties in (("routing", False), ("adwords k=3", True)):
-            calls.clear()
             inst = generate(DECIDE_SPECS[kind])
             rewards, consumption = options(inst)
             ell = inst.n // 10
             p = learn_price(inst, ell, 0.1).p
+            f = rewards[ell:]
+            priced = np.array([[float(p.dot(a)) for a in arrival] for arrival in consumption[ell:]])
+            rounding = 4 * (inst.m + 2) * 2.0**-53 * (f + priced)
+            assert bool((np.abs(f - priced) <= rounding).any()) == ties, kind
             assert_decide_matches_loop(p, rewards, consumption, ell, inst.n, inst.b)
-            assert bool(calls) == ties
+        assert calls == []
 
     def test_hand_made_near_ties(self):
         one, up = 1.0, np.nextafter(1.0, 2.0)
@@ -236,6 +277,34 @@ class TestDecide:
         # two options whose surpluses tie or differ in the last bits
         assert_decide_matches_loop(p, dots + 0.5, consumption, 0, 400, np.full(5, np.inf))
         assert_decide_matches_loop(p, dots + 0.5, consumption, 0, 400, np.full(5, 20.0))
+
+    def test_overflowing_prices(self):
+        """Prices near the largest double: surpluses of -inf, and NaN against an infinite reward."""
+        rng = np.random.default_rng(1)
+        p = np.array([1e308, 0.0, 0.5e308])
+        consumption = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=(300, 3, 3))
+        rewards = rng.choice([0.0, 1.0, 1e307, 1.7e308, np.inf], size=(300, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            priced = consumption @ p
+            assert np.isinf(priced).any() and np.isnan(rewards - priced).any()
+        for remaining in (np.full(3, np.inf), np.full(3, 20.0)):
+            got, _ = assert_decide_matches_loop(p, rewards, consumption, 0, 300, remaining)
+        assert (got >= 0).any() and (got == -1).any()
+
+    @pytest.mark.parametrize("kind", ["routing", "adwords k=3"])
+    def test_consumption_that_is_not_c_contiguous(self, kind):
+        inst = generate(DECIDE_SPECS[kind])
+        rewards, consumption = options(inst)
+        wide = np.zeros(consumption.shape[:2] + (2 * inst.m,))
+        wide[..., ::2] = consumption
+        # Fortran order, a strided slice, and a transposed copy (rows strided by k)
+        layouts = [np.asfortranarray(consumption), wide[..., ::2],
+                   np.ascontiguousarray(consumption.transpose(0, 2, 1)).transpose(0, 2, 1)]
+        assert not any(G.flags.c_contiguous for G in layouts[:2])
+        p = learn_price(inst, inst.n // 10, 0.1).p
+        for G in layouts:
+            for remaining in (inst.b, np.full(inst.m, np.inf)):
+                assert_decide_matches_loop(p, rewards, G, inst.n // 10, inst.n, remaining)
 
     def test_rejection_dense_guard(self):
         """Capacity 40 and a zero price: nearly every one of 20000 arrivals is a guard rejection."""

@@ -162,13 +162,14 @@ def decide_inputs(draw):
         return np.array(draw(st.lists(elements, min_size=size, max_size=size)),
                         dtype=np.float64).reshape(shape)
 
-    # Each priced column, at most 4 terms, stays finite: overflow warns in the loop too.
+    # Each priced column, at most 4 terms, stays finite; test_engine's
+    # test_overflowing_prices covers columns priced at inf.
     p = grid(mostly(decimals | st.floats(0.0, 2.0), st.floats(0.0, np.finfo(np.float64).max / 8)),
              (m,))
     f = grid(mostly(decimals, rewards), (n, k))
     G = grid(mostly(decimals | usage, usage), (n, k, m))
     # Some options are priced exactly at their reward by the per-option dot,
-    # a tie that the matrix product may break either way in the last bit.
+    # a tie that any other summation order may break either way in the last bit.
     for t in range(n):
         for j in range(k):
             if draw(st.booleans()):
