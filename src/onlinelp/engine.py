@@ -27,11 +27,10 @@ the one-arrival walk, which applies ``choose`` and the guard directly and
 keeps a stream's arrivals in an ``Instance``; both learn through
 ``learn_price``, so folding ``step`` over an instance's columns reproduces
 the batch runs exactly.  ``packing_lp`` builds every LP the package solves
-(prefix, offline and sampled), ``sample_lp`` is its prefix/offline front
-end and ``dual_price`` reads the row prices off a solution.  All of them
-read the k-option view of ``options``, in which a scalar instance is a
-multi-choice one with k = 1, so every policy takes either instance kind and
-returns a ``RunResult`` with the option each arrival took.
+(prefix, offline and sampled), and ``sample_lp`` is its prefix/offline front
+end.  All of them read the k-option view of ``options``, in which a scalar
+instance is a multi-choice one with k = 1, so every policy takes either
+instance kind and returns a ``RunResult`` with the option each arrival took.
 ``allocation_rule`` and ``multi_allocation_rule`` apply ``choose`` to one
 ``Column`` or ``MultiColumn``.
 """
@@ -107,7 +106,8 @@ def h_factor(ell: int, n: int, eps: float) -> float:
     Equal to eps * sqrt(n / ell): largest (sqrt(1/eps) * eps) at the first
     update point ell = n*eps, decaying to eps at ell = n.
     """
-    if not 1 <= ell <= n:
+    check_count("ell", ell)
+    if ell > n:
         raise ValueError(f"ell must be in [1, n], got ell={ell}, n={n}")
     check_eps(eps)
     return eps * math.sqrt(n / ell)
@@ -181,11 +181,6 @@ def packing_lp(rewards, consumption, b, n: int, shrink: float) -> BoxedLp:
     d = (1.0 - shrink) * (ell / n) * b
     A = np.ascontiguousarray(consumption.reshape(ell * k, m).T)
     return BoxedLp(c=rewards.reshape(-1), A=A, d=d, k=k)
-
-
-def dual_price(sol) -> DualPrice:
-    """The DualPrice of an LP solution's row prices, roundoff negatives clipped."""
-    return DualPrice(p=np.maximum(sol.dual, 0.0))
 
 
 def choose(p, f, cols) -> int:
@@ -330,7 +325,8 @@ def sample_lp(
     group of one.
     """
     ell = inst.n if ell is None else ell
-    if not 1 <= ell <= inst.n:
+    check_count("ell", ell)
+    if ell > inst.n:
         raise ValueError(f"ell must be in [1, n], got ell={ell}, n={inst.n}")
     if not 0.0 <= shrink < 1.0:
         raise ValueError(f"shrink must be in [0, 1), got {shrink}")
@@ -339,7 +335,7 @@ def sample_lp(
 
 
 def learn_price(inst: Instance | MultiInstance, ell: int, shrink: float) -> DualPrice:
-    """Dual prices of the prefix LP (negatives from roundoff clipped to zero).
+    """The row prices of the prefix LP, as the solver returns them.
 
     Args:
         inst: the instance, of either kind, whose first ``ell`` arrivals are
@@ -348,7 +344,7 @@ def learn_price(inst: Instance | MultiInstance, ell: int, shrink: float) -> Dual
         shrink: capacity shrink factor in [0, 1); the prefix LP right-hand
             side is (1 - shrink) * (ell / n) * b.
     """
-    return dual_price(solve_boxed_lp(sample_lp(inst, ell, shrink)))
+    return DualPrice(solve_boxed_lp(sample_lp(inst, ell, shrink)).dual)
 
 
 def run_ola(inst: Instance | MultiInstance, eps: float) -> RunResult:

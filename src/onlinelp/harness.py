@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import (
-    check_eps, decide, dual_price, objective, options, packing_lp, price_rule, run_dpa, run_ola,
-    sample_size,
+    check_eps, decide, objective, options, packing_lp, price_rule, run_dpa, run_ola, sample_size,
 )
 from .generators import shuffle
 from .lp import perturb_rewards, solve_boxed_lp
-from .model import DualPrice, Instance, MultiInstance, RunResult, check_count, onehot
+from .model import DualPrice, Instance, MultiInstance, RunResult, check_count, check_seed, onehot
 from .multi import flatten_lp, run_dpa_multi
 
 __all__ = [
@@ -73,7 +72,7 @@ def offline_opt(inst: Instance | MultiInstance) -> tuple[float, np.ndarray, Dual
     value upper-bounds every feasible integral allocation.
     """
     sol = solve_boxed_lp(flatten_lp(inst))
-    return sol.objective, sol.x.reshape(inst.rewards.shape), dual_price(sol)
+    return sol.objective, sol.x.reshape(inst.rewards.shape), DualPrice(sol.dual)
 
 
 def greedy_baseline(inst: Instance | MultiInstance) -> RunResult:
@@ -168,6 +167,7 @@ def run_grid(
     """
     check_count("trials", trials)
     check_count("jobs", jobs)
+    check_seed("base_seed", base_seed)
     for algo, eps in cells:
         if algo not in ALGORITHMS:
             raise _unknown(algo)
@@ -238,6 +238,7 @@ def lemma_sample_opt_oracle(
     unless 0 < eps < 1 and DegenerateWindow when n*eps < 1.
     """
     check_count("trials", trials)
+    check_seed("base_seed", base_seed)
     s = sample_size(inst.n, eps)
     opt, _, _ = offline_opt(inst)
     values = []
@@ -276,7 +277,7 @@ def column_sample_solve(
     idx = rng.choice(inst.n, size=sample_size(inst.n, eps), replace=False)
     rewards, consumption = options(inst)
     lp = packing_lp(rewards[idx], consumption[idx], inst.b, inst.n, eps)
-    price = dual_price(solve_boxed_lp(lp))
+    price = DualPrice(solve_boxed_lp(lp).dual)
     remaining = inst.b.copy()
     choices = np.full(inst.n, -1, dtype=np.int64)
     blocked = decide(price.p, rewards, consumption, 0, inst.n, remaining, choices)

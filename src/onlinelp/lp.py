@@ -69,7 +69,9 @@ Implementation notes, since the details matter for reproducibility:
   to keep drift out of the reported solution.
 * Before returning, the solver certifies its answer: rows and groups are
   feasible and the duality gap is small, a non-finite gap or residual
-  counting as a failure.  With rc = c - y'A, group duals
+  counting as a failure.  The row prices lose their roundoff negatives
+  (about -1e-16) first, so the certificate is that of the nonnegative
+  prices returned.  With rc = c - y'A, group duals
   u_t = max(0, max_j rc_j) and fill_t the sum of group t's x, the gap
   d'y + sum_t u_t - c'x = y'(d - Ax) + sum_t u_t (1 - fill_t) +
   sum_j (u_t - rc_j) x_j is a sum of complementary-slackness (CS) products,
@@ -95,9 +97,6 @@ if TYPE_CHECKING:
     from .model import Instance, MultiInstance
 
 __all__ = [
-    "AT_LOWER",
-    "BASIC",
-    "AT_UPPER",
     "BoxedLp",
     "LpSolution",
     "SolveStats",
@@ -106,11 +105,6 @@ __all__ = [
     "verify_complementary_slackness",
     "perturb_rewards",
 ]
-
-# Per-column classification codes in LpSolution.reduced_info.
-AT_LOWER = np.int8(0)
-BASIC = np.int8(1)
-AT_UPPER = np.int8(2)
 
 _FEAS_TOL = 1e-7     # row-violation slop, scaled by max(1, ||d||_inf)
 _GAP_TOL = 1e-7      # relative duality-gap tolerance
@@ -178,11 +172,11 @@ class SolveStats:
     raised before the solve reached its certificate.
     """
 
-    iterations: int = 0
-    flips: int = 0
-    refactorizations: int = 0
-    max_residual: float = 0.0
-    gap: float = 0.0
+    iterations: int
+    flips: int
+    refactorizations: int
+    max_residual: float
+    gap: float
 
     def __str__(self) -> str:
         return (f"{self.iterations} iterations, {self.flips} flips, "
@@ -192,27 +186,31 @@ class SolveStats:
 
 @dataclass
 class LpSolution:
-    """Optimal point, row prices, per-column status, objective, and solve stats."""
+    """Optimal point, nonnegative row prices, objective and solve stats, certified as returned."""
 
     x: np.ndarray
     dual: np.ndarray
-    reduced_info: np.ndarray
     objective: float
-    stats: SolveStats = SolveStats()
+    stats: SolveStats
 
     def dual_objective(self, lp: BoxedLp) -> float:
         """Value of the dual: d'p plus each group's charge max(0, max_j c_j - p'A_j)."""
-        return float(lp.d @ self.dual + _residuals(lp, self)[2].sum())
+        return _dual_bound(lp, self.dual, _residuals(lp, self.x, self.dual)[2])
 
 
-# The one residual computation: the exit check, dual_objective and
-# verify_complementary_slackness all read it, so the certificate the solver
-# checks and the report a caller gets cannot drift apart.
-def _residuals(lp: BoxedLp, sol: LpSolution):
+# The one residual computation and the one dual bound: the exit check,
+# dual_objective and verify_complementary_slackness all read them, so the
+# certificate the solver checks and the report a caller gets cannot drift apart.
+def _residuals(lp: BoxedLp, x: np.ndarray, dual: np.ndarray):
     """Row slack d - Ax, reduced costs c - p'A, group duals max(0, max_j rc_j), group fill."""
-    rc = lp.c - sol.dual @ lp.A
+    rc = lp.c - dual @ lp.A
     u = np.maximum(rc.reshape(-1, lp.k).max(axis=1), 0.0)
-    return lp.d - lp.A @ sol.x, rc, u, sol.x.reshape(-1, lp.k).sum(axis=1)
+    return lp.d - lp.A @ x, rc, u, x.reshape(-1, lp.k).sum(axis=1)
+
+
+def _dual_bound(lp: BoxedLp, dual: np.ndarray, u: np.ndarray) -> float:
+    """d'p + sum_t u_t: the dual objective at prices p whose group duals are u."""
+    return float(lp.d @ dual + u.sum())
 
 
 def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
@@ -223,9 +221,8 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
 
     Returns:
         LpSolution with primal x >= 0 whose groups sum to at most 1, the m
-        row prices (nonnegative within tolerance), per-column status, the
-        objective and the solve stats.  A column is AT_UPPER when it holds
-        its whole group (x = 1).
+        nonnegative row prices, the objective and the solve stats; the
+        certificate checks exactly this x and these prices.
 
     Raises:
         CycleLimitExceeded: if no optimum is reached within
@@ -408,33 +405,28 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
         if it % _REFACTOR_EVERY == 0:
             binv, xb, cw = refactor()
 
-    # Clean recompute from a fresh factorization for the reported solution.
+    # Clean recompute from a fresh factorization for the reported solution;
+    # the prices lose their roundoff negatives before the certificate, so it
+    # certifies the vector returned.
     binv, xb, cw = refactor()
-    full, status = np.zeros(nvar), np.full(nvar, AT_LOWER, dtype=np.int8)
-    member = basis[basis < grouped] // width  # the group of each working option or slack
+    full, working = np.zeros(nvar), basis < grouped
     full[basis] = xb
-    full[key] = 1.0 - np.bincount(member, weights=xb[basis < grouped], minlength=ell)
-    status[key] = AT_UPPER
-    status[key[member]] = BASIC
-    status[basis] = BASIC
-
-    sol = LpSolution(x=full[option].clip(0.0, 1.0), dual=cw @ binv,
-                     reduced_info=status[option], objective=0.0)
-    sol.objective = float(lp.c @ sol.x)
-    slack, _, u, fill = _residuals(lp, sol)
+    full[key] = 1.0 - np.bincount(basis[working] // width, weights=xb[working], minlength=ell)
+    x, dual = full[option].clip(0.0, 1.0), np.maximum(cw @ binv, 0.0)
+    objective = float(lp.c @ x)
+    slack, _, u, fill = _residuals(lp, x, dual)
     violation, excess = -slack.min(), fill.max() - 1.0
     residual = float(np.max([0.0, violation, excess]))
-    gap = abs(sol.objective - float(lp.d @ sol.dual + u.sum()))  # dual_objective's value
-    sol.stats = SolveStats(it, flips, refactors, residual, gap)
+    gap = abs(objective - _dual_bound(lp, dual, u))
     if not violation <= _FEAS_TOL * dscale:
         raise fail(InternalError, f"row violation {violation:.3e} after termination", residual, gap)
     if not excess <= _FEAS_TOL:
         raise fail(InternalError, f"group sum exceeds 1 by {excess:.3e} after termination",
                    residual, gap)
-    if not gap <= _GAP_TOL * max(abs(sol.objective), cost_scale):
-        raise fail(InternalError, f"duality gap {gap:.3e} (objective {sol.objective:.6g})",
+    if not gap <= _GAP_TOL * max(abs(objective), cost_scale):
+        raise fail(InternalError, f"duality gap {gap:.3e} (objective {objective:.6g})",
                    residual, gap)
-    return sol
+    return LpSolution(x, dual, objective, SolveStats(it, flips, refactors, residual, gap))
 
 
 def _long_step(cand, groups, keys, drop, rise, blocked, k, tol, need):
@@ -576,7 +568,7 @@ def verify_complementary_slackness(lp: BoxedLp, sol: LpSolution) -> list[CsViola
     tol_price = _GAP_TOL * max(1.0, float(np.abs(lp.c).max()))
     tol_slack = _GAP_TOL * max(1.0, float(np.abs(lp.d).max()))
 
-    slack, rc, u, fill = _residuals(lp, sol)
+    slack, rc, u, fill = _residuals(lp, sol.x, sol.dual)
     out = [CsViolation("price_slack", i, float(sol.dual[i] * slack[i]))
            for i in np.flatnonzero((sol.dual > tol_price) & (slack > tol_slack)).tolist()]
     # Row t of the grid is group t: its reduced_cost_upper cell, then its

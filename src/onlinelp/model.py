@@ -63,6 +63,12 @@ def check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def check_seed(name: str, value) -> None:
+    """A seed is an integer >= 0, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def _as_float_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1:
@@ -211,7 +217,7 @@ class MultiInstance:
 
 @dataclass(frozen=True)
 class DualPrice:
-    """A nonnegative price vector, one entry per capacity row."""
+    """A nonnegative price vector, one entry per capacity row, with a finite total."""
 
     p: np.ndarray
 
@@ -219,6 +225,10 @@ class DualPrice:
         p = _as_float_vector(self.p, "p")
         if p.size and p.min() < 0.0:
             raise ValueError("dual prices must be nonnegative")
+        # Consumption lies in [0, 1], so p . a <= sum(p): no priced column overflows.
+        with np.errstate(over="ignore"):
+            if not np.isfinite(p.sum()):
+                raise ValueError("dual prices overflow when summed; rescale the data")
         object.__setattr__(self, "p", p)
 
 

@@ -16,7 +16,7 @@ each call.  Each stays until the benchmark moves to the ``engine`` names.
 
 from __future__ import annotations
 
-from .engine import dual_price, run_epochs, sample_lp
+from .engine import run_epochs, sample_lp
 from .lp import solve_boxed_lp
 from .model import DualPrice, MultiInstance, RunResult
 
@@ -28,8 +28,8 @@ flatten_lp = sample_lp
 
 
 def learn_price_multi(minst: MultiInstance, ell: int, shrink: float) -> DualPrice:
-    """Row prices of the flattened prefix LP (negatives from roundoff clipped to zero)."""
-    return dual_price(solve_boxed_lp(flatten_lp(minst, ell, shrink)))
+    """Row prices of the flattened prefix LP, as the solver returns them."""
+    return DualPrice(solve_boxed_lp(flatten_lp(minst, ell, shrink)).dual)
 
 
 def run_dpa_multi(minst: MultiInstance, eps: float) -> RunResult:

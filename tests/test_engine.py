@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from onlinelp import (
     geometric_schedule,
     h_factor,
     learn_price,
+    multi_allocation_rule,
     run_dpa,
     run_ola,
     sample_lp,
@@ -113,10 +115,21 @@ class TestHFactor:
     (lambda: OnlineState.start(2, True, np.ones(2), 0.2), ValueError, "n must be an integer"),
     (lambda: h_factor(10, 100, 0.0), ValueError, "eps must be in"),
     (lambda: h_factor(10, 100, 1.0), ValueError, "eps must be in"),
+    (lambda: h_factor(True, 100, 0.1), ValueError, "ell must be an integer >= 1, got True"),
+    (lambda: h_factor(10.0, 100, 0.1), ValueError, "ell must be an integer >= 1, got 10.0"),
+    (lambda: sample_lp(unit_instance([3.0, 2.0, 1.0], 1.0), True), ValueError,
+     "ell must be an integer >= 1, got True"),
+    (lambda: sample_lp(unit_instance([3.0, 2.0, 1.0], 1.0), 2.0), ValueError,
+     "ell must be an integer >= 1, got 2.0"),
+    (lambda: sample_lp(unit_instance([3.0, 2.0, 1.0], 1.0), 4), ValueError,
+     r"ell must be in \[1, n\], got ell=4, n=3"),
+    (lambda: learn_price(unit_instance([3.0, 2.0, 1.0], 1.0), 1.0, 0.1), ValueError,
+     "ell must be an integer >= 1, got 1.0"),
 ], ids=["step column size", "step multi column", "start b shape", "start b negative",
         "start b nan", "start b inf", "start b zero", "start no rows", "start m fractional",
         "start m bool", "start n fractional", "start n zero", "start n bool", "h_factor eps 0",
-        "h_factor eps 1"])
+        "h_factor eps 1", "h_factor ell bool", "h_factor ell float", "sample_lp ell bool",
+        "sample_lp ell float", "sample_lp ell past n", "learn_price ell float"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
@@ -137,6 +150,23 @@ class TestAllocationRule:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             allocation_rule(DualPrice(p=np.zeros(2)), Column(pi=1.0, a=np.array([1.0])))
+
+    def test_largest_admissible_price_decides_silently(self):
+        """At a price whose total is just finite, the one-arrival paths decide as price_rule."""
+        price = DualPrice(p=np.array([1e308, 0.7e308]))
+        rewards = np.array([1.0, 1.6e308, 1.7e308, 1.75e308, 1.79e308])
+        want = price_rule(price.p, rewards[:, None], np.ones((rewards.size, 1, 2)))
+        assert (want == 0).any() and (want == -1).any()
+        state = OnlineState.start(2, rewards.size, np.full(2, 10.0), 0.4, "ola")
+        state.prices_used.append((state.schedule[0][0], price))  # every arrival meets this price
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pi, r in zip(rewards.tolist(), want.tolist()):
+                col = Column(pi=pi, a=np.ones(2))
+                assert allocation_rule(price, col) == int(r == 0)
+                assert multi_allocation_rule(price, MultiColumn(f=[pi], G=np.ones((2, 1)))) == (
+                    0 if r == 0 else None)
+                assert step(state, col)[0] == int(r == 0)
 
 
 def assert_decide_matches_loop(p, rewards, consumption, lo, hi, remaining):
@@ -356,6 +386,14 @@ class TestLearnPrice:
         np.testing.assert_allclose(lp.d, 0.75 * 0.4 * inst.b)
         sol = solve_boxed_lp(lp)
         assert sol.objective >= 0.0
+
+    def test_price_is_the_solvers_dual(self):
+        """The row prices come back as the solver certified them, bit for bit."""
+        for inst in (generate(GenSpec("routing", 1, dict(m=5, n=400, q=0.5, capacity=40.0))),
+                     generate(GenSpec("adwords", 1, dict(n=200, m=3)))):
+            for ell, shrink in ((20, 0.3), (100, 0.1), (inst.n, 0.0)):
+                sol = solve_boxed_lp(sample_lp(inst, ell, shrink))
+                assert learn_price(inst, ell, shrink).p.tobytes() == sol.dual.tobytes()
 
     def test_validation(self):
         inst = unit_instance([1.0, 2.0], 1.0)

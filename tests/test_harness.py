@@ -19,7 +19,9 @@ from onlinelp import (
     offline_opt,
     run_grid,
     run_trials,
+    sample_lp,
     shuffle,
+    solve_boxed_lp,
 )
 
 
@@ -48,6 +50,12 @@ class TestOfflineOpt:
         for seed in (1, 2, 3):
             opt_s, _, _ = offline_opt(shuffle(inst, seed))
             assert opt_s == pytest.approx(opt, rel=1e-10)
+
+    def test_price_is_the_solvers_dual(self):
+        """The row prices come back as the solver certified them, bit for bit."""
+        for inst in (routing(seed=2), generate(GenSpec("adwords", 3, dict(n=120, m=3)))):
+            sol = solve_boxed_lp(sample_lp(inst))
+            assert offline_opt(inst)[2].p.tobytes() == sol.dual.tobytes()
 
     def test_multi_shape(self):
         inst = generate(GenSpec(kind="adwords", seed=2, params={"n": 30, "m": 2}))
@@ -217,6 +225,11 @@ class TestRunGrid:
             run_grid(routing(), [("dpa", 1.5)], trials=2)
         with pytest.raises(ValueError, match="eps must be in"):
             run_grid(routing(), [("greedy_baseline", 7.0)], trials=2)
+        for seed in (-5, 1.5, True):
+            with pytest.raises(ValueError, match=f"base_seed must be an integer >= 0, got {seed}"):
+                run_grid(routing(), self.CELLS, trials=1, base_seed=seed)
+            with pytest.raises(ValueError, match=f"base_seed must be an integer >= 0, got {seed}"):
+                lemma_sample_opt_oracle(routing(), 0.1, trials=1, base_seed=seed)
 
     def test_a_failing_task_fails_the_grid(self):
         # n * eps = 0.06 < 1: every dpa trial raises in its worker

@@ -118,6 +118,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             DualPrice(p=np.array([-0.01]))
 
+    def test_dual_price_rejects_a_total_that_overflows(self):
+        # Each entry is finite, their sum is not; the check itself warns nothing.
+        with np.errstate(over="raise"):
+            with pytest.raises(ValueError, match="overflow"):
+                DualPrice(p=np.array([1e308, 1e308]))
+            DualPrice(p=np.array([1e308, 0.7e308]))
+
     @pytest.mark.parametrize("make, exc, match", [
         (lambda: Instance(m=1, n=1, b=np.ones((1, 1)), rewards=np.ones(1),
                           consumption=np.ones((1, 1))), DimensionMismatch, "b must be one-dimensional"),
