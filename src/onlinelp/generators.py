@@ -24,7 +24,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import AllZeroBids, BadSpec
-from .model import Instance, MultiInstance
+from .model import Instance, MultiInstance, check_seed
 
 __all__ = [
     "GenSpec",
@@ -246,7 +246,8 @@ def gen_yield(
 
 
 def shuffle(inst: Instance | MultiInstance, seed: int):
-    """Uniform random permutation of the columns (seeded Fisher-Yates)."""
+    """Uniform random permutation of the columns (seeded Fisher-Yates; seed an integer >= 0)."""
+    check_seed("seed", seed)
     perm = np.random.default_rng(seed).permutation(inst.n)
     meta = dict(inst.meta or {})
     meta["shuffle_seed"] = _plain(seed)

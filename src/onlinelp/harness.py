@@ -271,8 +271,9 @@ def column_sample_solve(
     output is integral and feasible no matter how rough the dual is.  ``x``
     has the shape of ``inst.rewards``: 0/1 per column, or one one-hot row per
     multi-choice arrival.  ``guard_rejections`` counts columns the rule
-    accepted but the guard blocked.
+    accepted but the guard blocked.  ``seed``, an integer >= 0, draws the sample.
     """
+    check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     idx = rng.choice(inst.n, size=sample_size(inst.n, eps), replace=False)
     rewards, consumption = options(inst)

@@ -59,11 +59,8 @@ Implementation notes, since the details matter for reproducibility:
   optimal price (unit columns paying 4, 3, 2, 1 under capacity 1 are
   priced at 3, the reward of the best column left out, although any price
   in [3, 4] is optimal).
-* Anti-cycling: after ``_DEGENERATE_ITERATIONS`` iterations in a row whose
-  dual step is zero, the solver switches for good to the rank rule: the
-  earliest infeasible variable leaves, the earliest among the smallest
-  ratios enters, and no breakpoint is passed.  That is Bland's rule
-  applied to the dual, which cannot cycle.
+* The long step is the one pivoting rule; a run of zero dual steps on a
+  dual-degenerate LP (a stall) is bounded only by the iteration cap.
 * The basis inverse is maintained explicitly with rank-one pivot updates and
   refactorized from scratch periodically (and once more at termination)
   to keep drift out of the reported solution.
@@ -79,22 +76,20 @@ Implementation notes, since the details matter for reproducibility:
   ``LpSolution.stats`` reports the iterations, flips, refactorizations,
   largest primal residual and gap, and every solver error carries them.
 
-The module depends only on numpy and ``errors``, so ``engine`` can build its
-LPs on ``BoxedLp``.  ``perturb_rewards`` copies either instance kind with
-``dataclasses.replace`` rather than naming the classes of ``model``.
+The module depends only on numpy, ``errors`` and ``model`` (which imports
+only ``errors``), so ``engine`` can build its LPs on ``BoxedLp``.
+``perturb_rewards`` checks its seed with ``model.check_seed`` and copies
+either instance kind with ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CycleLimitExceeded, DimensionMismatch, InternalError
-
-if TYPE_CHECKING:
-    from .model import Instance, MultiInstance
+from .model import Instance, MultiInstance, check_seed
 
 __all__ = [
     "BoxedLp",
@@ -113,7 +108,6 @@ _DUAL_TOL = 1e-12    # reduced costs within this of 0 (scaled by max(1, max |c|)
 _PIVOT_TOL = 1e-11   # entries smaller than this (scaled) are treated as zero
 _REFACTOR_EVERY = 200
 _ITERATIONS_PER_VARIABLE = 50  # iteration cap: this many per variable, m + s in all
-_DEGENERATE_ITERATIONS = 50    # zero dual steps in a row; then the rank rule, which cannot cycle
 
 
 @dataclass(frozen=True)
@@ -261,7 +255,7 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(lp.A).max()))
     cost_scale = max(1.0, float(np.abs(lp.c).max()))
     dual_tol = _DUAL_TOL * cost_scale
-    it = flips = refactors = degenerate = 0
+    it = flips = refactors = 0
 
     def fail(exc, message, residual=np.nan, gap=np.nan):
         return exc(f"{message} (m={m}, s={s}, k={k}; "
@@ -291,7 +285,6 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
     busy = np.zeros(ell + m, dtype=np.int64)
     busy[ell:] = 2
     prices = np.empty((2, m))
-    bland = False
     while True:
         # Primal values, in Python since there are about m of them: each
         # working variable, and each key whose group has working members, at
@@ -314,11 +307,9 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
         it += 1
         # Leaving: the most infeasible variable in the dual steepest-edge
         # measure x^2 / |its row of B^-1|^2 (a key's row is minus the sum of
-        # its members' rows), the earliest on ties, or under the rank rule
-        # the earliest infeasible one.
-        bland = bland or degenerate >= _DEGENERATE_ITERATIONS
-        if bland or len(bad) == 1:  # a lone infeasible variable needs no measure
-            x, v, r, rows = min(bad, key=lambda e: e[1])
+        # its members' rows), the earliest on ties.
+        if len(bad) == 1:  # a lone infeasible variable needs no measure
+            x, v, r, rows = bad[0]
         else:
             norm = (binv * binv).sum(axis=1).tolist()
             x, v, r, rows = max(bad, key=lambda e: (e[0] ** 2 / (
@@ -352,37 +343,31 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
         drop, rise = rc[cand], rise[cand]
         drop[drop > -dual_tol] = 0.0  # so rounding does not order degenerate ties
 
-        if bland:
-            ratio = -drop / rise
-            first = int(ratio.argmin())
-            q, theta = int(cand[first]), ratio[first]
-        else:
-            # Long step.  Along the ray the dual objective is convex and
-            # piecewise linear with slope x_r < 0 at the start.  A group's
-            # share is the upper envelope of its lines rc_j + theta*rise_j
-            # (the key's is 0), and passing one of its breakpoints makes that
-            # line the group's key (at k = 1, a flip between an option and its
-            # slack) and raises the slope by the steepness gained.  A row
-            # slack, or a variable of a group with other working members,
-            # cannot be passed: its first breakpoint ends the step.
-            # The leaving variable's group is free when it is the only working
-            # member there, since its column leaves the basis with it.
-            groups = gid[cand]
-            blocked = busy > 0
-            blocked[gid[basis[r]]] = busy[gid[basis[r]]] > 1
-            step = _long_step(cand, groups, keys, drop, rise, blocked, k, piv_tol, need)
-            if step is None:
-                raise fail(InternalError, f"no entering variable repairs row {r}")
-            passed, before, q, theta = step
-            if passed.size:
-                # Each group's key becomes the last line it passed.
-                xb -= binv @ (colsum(passed) - colsum(before))
-                free[passed] = False
-                free[before] = True
-                last = passed[~free[passed]]
-                key[gid[last]] = last
-                flips += passed.size
-        degenerate = degenerate + 1 if theta <= 0.0 else 0
+        # Long step.  Along the ray the dual objective is convex and
+        # piecewise linear with slope x_r < 0 at the start.  A group's
+        # share is the upper envelope of its lines rc_j + theta*rise_j
+        # (the key's is 0), and passing one of its breakpoints makes that
+        # line the group's key (at k = 1, a flip between an option and its
+        # slack) and raises the slope by the steepness gained.  A row
+        # slack, or a variable of a group with other working members,
+        # cannot be passed: its first breakpoint ends the step.
+        # The leaving variable's group is free when it is the only working
+        # member there, since its column leaves the basis with it.
+        groups = gid[cand]
+        blocked = busy > 0
+        blocked[gid[basis[r]]] = busy[gid[basis[r]]] > 1
+        step = _long_step(cand, groups, keys, drop, rise, blocked, k, piv_tol, need)
+        if step is None:
+            raise fail(InternalError, f"no entering variable repairs row {r}")
+        passed, before, q = step
+        if passed.size:
+            # Each group's key becomes the last line it passed.
+            xb -= binv @ (colsum(passed) - colsum(before))
+            free[passed] = False
+            free[before] = True
+            last = passed[~free[passed]]
+            key[gid[last]] = last
+            flips += passed.size
 
         # Exchange: q enters row r.
         out, gq = int(basis[r]), int(gid[q])
@@ -446,8 +431,8 @@ def _long_step(cand, groups, keys, drop, rise, blocked, k, tol, need):
     lines that cross before that point.  ``_passing_order`` sorts the
     breakpoints and finds where the step ends.
 
-    Returns the passed variables, the lines they replace, the variable that
-    enters and its crossing point, or None when no breakpoint ends the step.
+    Returns the passed variables, the lines they replace and the variable
+    that enters, or None when no breakpoint ends the step.
     """
     cross = -drop / rise
     late = blocked[groups]
@@ -470,9 +455,9 @@ def _long_step(cand, groups, keys, drop, rise, blocked, k, tol, need):
     if p == order.size:
         return None
     head = order[:p + 1]
-    var, cross = lines[0][head], lines[2][head[p]]
+    var = lines[0][head]
     before = keys[groups[head[:p]]] if lines[1] is None else lines[1][head[:p]]
-    return var[:p], before, int(var[p]), cross
+    return var[:p], before, int(var[p])
 
 
 def _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k, tol, bound):
@@ -591,8 +576,9 @@ def perturb_rewards(
     Breaks reward ties so that, with probability one, at most m columns sit
     exactly on the price hyperplane of any fixed dual vector.  ``eta=None``
     picks 1e-9 times the largest reward; ``eta=0`` adds zero noise, so the
-    rewards come back equal.  Deterministic for a fixed seed.
+    rewards come back equal.  Deterministic for a fixed seed, an integer >= 0.
     """
+    check_seed("seed", seed)
     rewards = inst.rewards
     if eta is None:
         eta = 1e-9 * (float(rewards.max()) if rewards.size else 0.0)

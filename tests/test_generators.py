@@ -172,7 +172,11 @@ def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
     (lambda: gen_adwords(n=5, m=2, budget_rule="other"), BadSpec, "unknown budget_rule"),
     (lambda: adwords_to_multi(np.ones(3), np.ones(3)), ValueError, "n-by-m table"),
     (lambda: adwords_to_multi([[-0.5, 1.0]], np.ones(2)), ValueError, "finite and nonnegative"),
-], ids=["unknown budget_rule", "1-D bid table", "negative bid"])
+    (lambda: shuffle(gen_secretary(n=5, k=1), True), ValueError, "seed must be an integer >= 0"),
+    (lambda: shuffle(gen_secretary(n=5, k=1), 1.5), ValueError, "seed must be an integer >= 0"),
+    (lambda: shuffle(gen_secretary(n=5, k=1), -1), ValueError, "seed must be an integer >= 0"),
+], ids=["unknown budget_rule", "1-D bid table", "negative bid", "bool shuffle seed",
+        "fractional shuffle seed", "negative shuffle seed"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

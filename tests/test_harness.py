@@ -274,6 +274,11 @@ class TestLemmaKkt:
         for seed in range(4):
             assert lemma_kkt_oracle(inst, eta=1e-4, seed=seed) <= inst.m
 
+    def test_validation(self):
+        for seed in (True, 1.5, -1):
+            with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+                lemma_kkt_oracle(routing(n=40), seed=seed)
+
 
 class TestLemmaSampleOpt:
     def test_mean_sample_value_below_scaled_opt(self):
@@ -365,3 +370,6 @@ class TestColumnSampling:
                 column_sample_solve(inst, eps)
         with pytest.raises(DegenerateWindow):
             column_sample_solve(routing(n=5), 0.1)
+        for seed in (True, 1.5, -1):
+            with pytest.raises(ValueError, match=f"seed must be an integer >= 0, got {seed}"):
+                column_sample_solve(inst, 0.2, seed=seed)

@@ -14,8 +14,12 @@ from onlinelp import (
     Instance,
     InternalError,
     generate,
+    offline_opt,
     perturb_rewards,
+    run_dpa,
+    run_ola,
     sample_lp,
+    shuffle,
     solve_boxed_lp,
     verify_complementary_slackness,
 )
@@ -28,6 +32,12 @@ from _oracles import (
     random_boxed_lp,
     random_grouped_lp,
 )
+
+try:  # scipy is a test-only oracle: without it the HiGHS cross-checks are skipped
+    from scipy import sparse
+    from scipy.optimize import linprog
+except ImportError:
+    linprog = None
 
 
 def _lp(c, A, d):
@@ -221,7 +231,11 @@ def _one_column() -> Instance:
     (lambda: perturb_rewards(_one_column(), eta=-1e-9), ValueError, "eta must be finite"),
     (lambda: perturb_rewards(_one_column(), eta=np.nan), ValueError, "eta must be finite"),
     (lambda: perturb_rewards(_one_column(), eta=np.inf), ValueError, "eta must be finite"),
-], ids=["one-dimensional A", "empty A", "negative eta", "nan eta", "infinite eta"])
+    (lambda: perturb_rewards(_one_column(), seed=True), ValueError, "seed must be an integer >= 0"),
+    (lambda: perturb_rewards(_one_column(), seed=1.5), ValueError, "seed must be an integer >= 0"),
+    (lambda: perturb_rewards(_one_column(), seed=-1), ValueError, "seed must be an integer >= 0"),
+], ids=["one-dimensional A", "empty A", "negative eta", "nan eta", "infinite eta", "bool seed",
+        "fractional seed", "negative seed"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
@@ -232,35 +246,6 @@ def test_pivot_cap_raises_cycle_limit(monkeypatch):
     lp = _lp([4.0, 3.0, 2.0, 1.0], [[1.0, 1.0, 1.0, 1.0]], [1.5])
     with pytest.raises(CycleLimitExceeded, match="0 iterations, 0 flips, 0 refactorizations"):
         solve_boxed_lp(lp)
-
-
-def test_rank_rule_from_the_first_iteration(monkeypatch):
-    """The dual's anti-cycling fallback, reached at once, still finds the optimum.
-
-    With no degenerate iteration allowed, every iteration takes the
-    earliest infeasible variable in rank and the earliest minimum-ratio
-    entering one, without long steps.
-    """
-    grouped = [random_grouped_lp(seed) for seed in range(100)]
-    refs = [solve_boxed_lp(BoxedLp(*explicit_groups(c, A, d, k))).objective
-            for c, A, d, k in grouped]
-    long_step = solve_boxed_lp(BoxedLp(*random_boxed_lp(0))).stats
-    monkeypatch.setattr(lp_module, "_DEGENERATE_ITERATIONS", 0)
-    fallback = solve_boxed_lp(BoxedLp(*random_boxed_lp(0))).stats
-    assert fallback.flips == 0 and long_step.flips > 0
-    for seed in range(60):
-        c, A, d = random_boxed_lp(seed)
-        lp = BoxedLp(c=c, A=A, d=d)
-        sol = solve_boxed_lp(lp)
-        assert sol.objective == pytest.approx(enumerate_boxed_opt(c, A, d), abs=1e-8), seed
-        assert verify_complementary_slackness(lp, sol) == [], seed
-        assert sol.stats.flips == 0, seed
-    for seed, ((c, A, d, k), ref) in enumerate(zip(grouped, refs)):
-        lp = BoxedLp(c=c, A=A, d=d, k=k)
-        sol = solve_boxed_lp(lp)
-        assert abs(sol.objective - ref) <= 1e-8 * max(1.0, float(np.abs(c).max())), seed
-        assert verify_complementary_slackness(lp, sol) == [], seed
-        assert sol.stats.flips == 0, seed
 
 
 def test_dual_objective_is_the_box_formula_at_k1():
@@ -317,6 +302,79 @@ def test_refactoring_after_every_iteration_keeps_the_optimum(monkeypatch):
         sol = solve_boxed_lp(lp)
         assert sol.stats.refactorizations == sol.stats.iterations + 1, seed
         assert sol.objective == objective, seed
+
+
+# Offline LPs of plain adwords (budget_rule "fraction") with 5 or more
+# bidders, whose dual is heavily degenerate: every option of a bidder pays the
+# same per unit of its budget.  The optima are HiGHS's (scipy 1.17.1).
+ADWORDS_OPTIMA = {  # (n, m, seed): optimum
+    (500, 20, 0): 82.42043910820917,
+    (500, 20, 1): 82.77596284622553,
+    (1000, 20, 1): 164.64821909614787,
+    (1000, 20, 2): 164.98618022263992,
+    (1000, 20, 3): 164.65804602826455,
+    (2000, 5, 2): 330.00928864467755,
+    (2000, 10, 0): 331.409097111495,
+}
+
+
+def _adwords(n, m, seed):
+    return generate(GenSpec("adwords", seed, dict(n=n, m=m)))
+
+
+def _highs_optimum(lp):
+    """HiGHS's optimum of ``lp`` with its pick-one rows written out, or None without scipy."""
+    if linprog is None:
+        return None
+    groups = sparse.kron(sparse.eye_array(lp.c.size // lp.k), np.ones((1, lp.k)))
+    A = sparse.vstack([sparse.csr_array(lp.A), groups], format="csr")
+    ref = linprog(-lp.c, A_ub=A, b_ub=np.concatenate([lp.d, np.ones(groups.shape[0])]),
+                  bounds=(0, None), method="highs")
+    assert ref.status == 0, ref.message
+    return -ref.fun
+
+
+@pytest.mark.parametrize("n, m, seed", list(ADWORDS_OPTIMA))
+def test_dual_degenerate_adwords_lp_solves(n, m, seed):
+    """The long-step dual simplex solves LPs on which the basis once went singular."""
+    lp = sample_lp(_adwords(n, m, seed))
+    objective = solve_boxed_lp(lp).objective
+    assert objective == pytest.approx(ADWORDS_OPTIMA[n, m, seed], rel=1e-8)
+    highs = _highs_optimum(lp)
+    if highs is not None:
+        assert objective == pytest.approx(highs, rel=1e-8)
+
+
+@pytest.mark.parametrize("n, m, seed", [(1000, 20, 1), (1000, 20, 3), (1000, 10, 2), (2000, 10, 0)])
+def test_dpa_on_dual_degenerate_adwords(n, m, seed):
+    """DPA's prefix LPs on these instances solve, and the run keeps every budget."""
+    inst = shuffle(_adwords(n, m, seed), 1)
+    assert not (run_dpa(inst, 0.1).fill > inst.b).any()
+
+
+# One seeded instance per row of every generate family: routing up to m = 20,
+# secretary with uniform and heavy-tailed rewards, yield with two products
+# (duplicate columns), and adwords "fraction" with 5, 10 and 20 bidders.
+SWEEP = [GenSpec("routing", 0, dict(m=m, n=2000, q=0.5, capacity=200.0)) for m in (2, 5, 10, 20)]
+SWEEP += [GenSpec("secretary", 0, dict(n=2000, k=100, reward_dist=dist))
+          for dist in ("uniform", "heavy_tail")]
+SWEEP += [GenSpec("yield", 0, dict(horizon=100.0, rate=20.0, n_products=2))]
+SWEEP += [GenSpec("adwords", seed, dict(n=n, m=m))
+          for n, m, seed in [(1000, 5, 0), (1000, 10, 2), *(c for c in ADWORDS_OPTIMA if c[0] <= 1000)]]
+
+
+@pytest.mark.parametrize("spec", SWEEP, ids=lambda spec: "-".join(
+    [spec.kind, f"seed={spec.seed}", *(f"{key}={value}" for key, value in spec.params.items())]))
+def test_every_family_solves(spec):
+    """offline_opt, run_ola and run_dpa finish within their budgets; the optimum is HiGHS's."""
+    inst = generate(spec)
+    opt, _, _ = offline_opt(inst)
+    shuffled = shuffle(inst, 1)
+    for run in (run_ola, run_dpa):
+        assert not (run(shuffled, 0.1).fill > inst.b).any(), run.__name__
+    highs = _highs_optimum(sample_lp(inst))
+    if highs is not None:
+        assert opt == pytest.approx(highs, rel=1e-8)
 
 
 class TestGroupedLp:
