@@ -59,6 +59,7 @@ def gen_routing(
     Every column uses at least one row: all-zero draws are redrawn, so the
     per-entry mean conditional on inclusion is q / (1 - (1-q)^m), not q.
     """
+    check_seed("seed", seed)
     _require(m >= 1 and n >= 1, f"need m >= 1 and n >= 1, got m={m}, n={n}")
     _require(0.0 < q <= 1.0, f"q must be in (0, 1], got {q}")
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
@@ -96,6 +97,7 @@ def gen_secretary(
     (lognormal with the given sigma), the latter concentrating most of the
     optimal value in a few columns.
     """
+    check_seed("seed", seed)
     _require(n >= 1, f"need n >= 1, got {n}")
     _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
@@ -142,6 +144,7 @@ def gen_adwords(
     Returns the raw (bids, budgets) pair; feed it to adwords_to_multi to get
     a runnable instance.
     """
+    check_seed("seed", seed)
     _require(n >= 1 and m >= 1, f"need n >= 1 and m >= 1, got n={n}, m={m}")
     _require(0.0 <= bid_lo <= bid_hi < math.inf, "need 0 <= bid_lo <= bid_hi < inf")
     _require(0.0 < condition_eps < 1.0, f"condition_eps must be in (0, 1), got {condition_eps}")
@@ -215,11 +218,12 @@ def gen_yield(
 ) -> Instance:
     """Poisson-many requests over a booking horizon, one product each.
 
-    The arrival count n is a Poisson(rate * horizon) draw (redrawn in the
-    zero-probability event n = 0), each request picks a product uniformly,
-    pays a price jittered within 20 percent of the product's base price, and
-    consumes the product's fixed resource bundle (entries in [0, 1]).
+    The arrival count n is a Poisson(rate * horizon) draw, repeated until
+    n >= 1 (a draw is 0 with probability exp(-rate * horizon)); each request
+    picks a product uniformly, pays its base price jittered within 20 percent,
+    and consumes its fixed resource bundle (entries in [0, 1]).
     """
+    check_seed("seed", seed)
     _require(horizon > 0.0 and rate > 0.0, "need horizon > 0 and rate > 0")
     _require(rate * horizon >= 1.0, f"rate*horizon must be >= 1, got {rate * horizon}")
     _require(n_products >= 1 and n_resources >= 1, "need at least one product and resource")

@@ -32,11 +32,12 @@ Implementation notes, since the details matter for reproducibility:
   on ties) or, if no option pays, its slack, and the row slacks as the
   working basis.  Every reduced cost is then <= 0, so the start is dual
   feasible.
-* Leaving: among the infeasible basic variables (a working one below 0,
-  or a key whose group's working members sum past 1), the one with the
-  largest x^2 / |its row of B^-1|^2 (dual steepest edge), the earliest on
-  ties.  A key that leaves first trades places with a working member of
-  its group, which changes one row of the inverse.
+* Leaving: the most negative basic value below 0 (a key's is 1 minus its
+  group's working sum), the earliest on ties.  Weighted by the rows of
+  B^-1 (DSE; Forrest & Goldfarb 1992), the choice stalled or failed on 4
+  of 128 plain adwords solves and DPA runs with 5 to 50 bidders, where raw
+  values finish all.  A key that leaves first trades places with a working
+  member of its group, which changes one row of the inverse.
 * Long step (the bound-flipping ratio test; Maros, EJOR 2003; Koberstein,
   PhD thesis 2005): along the leaving row's dual ray the objective is
   convex and piecewise linear.  Each group contributes the upper envelope
@@ -305,16 +306,9 @@ def solve_boxed_lp(lp: BoxedLp) -> LpSolution:
         if it >= cap:
             raise fail(CycleLimitExceeded, f"no optimum within {cap} iterations")
         it += 1
-        # Leaving: the most infeasible variable in the dual steepest-edge
-        # measure x^2 / |its row of B^-1|^2 (a key's row is minus the sum of
-        # its members' rows), the earliest on ties.
-        if len(bad) == 1:  # a lone infeasible variable needs no measure
-            x, v, r, rows = bad[0]
-        else:
-            norm = (binv * binv).sum(axis=1).tolist()
-            x, v, r, rows = max(bad, key=lambda e: (e[0] ** 2 / (
-                norm[e[2]] if e[3] is None else float(np.square(binv[e[3]].sum(axis=0)).sum())),
-                -e[1]))
+        # Leaving: the most negative value, the earliest on ties (entries
+        # start with (value, variable), and no two share a variable).
+        x, v, r, rows = min(bad)
         if rows is not None:
             # A key leaves.  A working member of its group becomes key and the
             # old key takes that member's row: every working column of the

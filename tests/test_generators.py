@@ -175,8 +175,14 @@ def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
     (lambda: shuffle(gen_secretary(n=5, k=1), True), ValueError, "seed must be an integer >= 0"),
     (lambda: shuffle(gen_secretary(n=5, k=1), 1.5), ValueError, "seed must be an integer >= 0"),
     (lambda: shuffle(gen_secretary(n=5, k=1), -1), ValueError, "seed must be an integer >= 0"),
+    *[(lambda kind=kind, params=params, seed=seed: generate(GenSpec(kind, seed, params)),
+       ValueError, "seed must be an integer >= 0")
+      for kind, params, _ in UNIFORM_BOUNDS for seed in (True, 1.5, -1)],
+    (lambda: gen_adwords(10, 2, seed=True), ValueError, "seed must be an integer >= 0"),
 ], ids=["unknown budget_rule", "1-D bid table", "negative bid", "bool shuffle seed",
-        "fractional shuffle seed", "negative shuffle seed"])
+        "fractional shuffle seed", "negative shuffle seed",
+        *(f"{kind} seed {seed!r}" for kind, _, _ in UNIFORM_BOUNDS for seed in (True, 1.5, -1)),
+        "bool gen_adwords seed"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

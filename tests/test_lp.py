@@ -310,11 +310,13 @@ def test_refactoring_after_every_iteration_keeps_the_optimum(monkeypatch):
 ADWORDS_OPTIMA = {  # (n, m, seed): optimum
     (500, 20, 0): 82.42043910820917,
     (500, 20, 1): 82.77596284622553,
+    (1000, 20, 0): 165.70454855574746,
     (1000, 20, 1): 164.64821909614787,
     (1000, 20, 2): 164.98618022263992,
     (1000, 20, 3): 164.65804602826455,
     (2000, 5, 2): 330.00928864467755,
     (2000, 10, 0): 331.409097111495,
+    (2000, 20, 0): 330.66535702223075,
 }
 
 
@@ -336,16 +338,22 @@ def _highs_optimum(lp):
 
 @pytest.mark.parametrize("n, m, seed", list(ADWORDS_OPTIMA))
 def test_dual_degenerate_adwords_lp_solves(n, m, seed):
-    """The long-step dual simplex solves LPs on which the basis once went singular."""
+    """The dual simplex solves LPs on which the basis once went singular or stalled.
+
+    The leaving choice by steepest edge took up to 14139 iterations here.
+    """
     lp = sample_lp(_adwords(n, m, seed))
-    objective = solve_boxed_lp(lp).objective
+    sol = solve_boxed_lp(lp)
+    objective = sol.objective
+    assert sol.stats.iterations <= 20 * m
     assert objective == pytest.approx(ADWORDS_OPTIMA[n, m, seed], rel=1e-8)
     highs = _highs_optimum(lp)
     if highs is not None:
         assert objective == pytest.approx(highs, rel=1e-8)
 
 
-@pytest.mark.parametrize("n, m, seed", [(1000, 20, 1), (1000, 20, 3), (1000, 10, 2), (2000, 10, 0)])
+@pytest.mark.parametrize("n, m, seed", [(1000, 20, 1), (1000, 20, 3), (1000, 10, 2), (2000, 10, 0),
+                                        (1000, 50, 3)])
 def test_dpa_on_dual_degenerate_adwords(n, m, seed):
     """DPA's prefix LPs on these instances solve, and the run keeps every budget."""
     inst = shuffle(_adwords(n, m, seed), 1)
