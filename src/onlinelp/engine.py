@@ -15,7 +15,10 @@ model and both keeping every capacity constraint satisfied at every step:
 Both are one loop, written once here and shared with the multi-choice
 policy and the harness.  ``schedule`` lists the checkpoints at which prices
 are learned and the capacity shrink of each, and ``learn_until`` walks that
-list up to an arrival and returns the price that governs it.  ``choose`` is
+list up to an arrival and returns the price that governs it.  Each
+checkpoint's prefix LP is solved by ``learn_price`` from the previous
+checkpoint's solution, whose basis the solver takes as its warm start, and
+its ``LpSolution`` is kept beside the logged price.  ``choose`` is
 the price rule for one arrival, one dot product per option, and ``decide``
 applies it and the capacity guard to a range of arrivals under one price:
 one stacked matrix product prices the range with the same dot kernel, and
@@ -25,12 +28,13 @@ one-at-a-time guard.
 ``run_epochs`` is the batch walk, one price epoch at a time, and ``step``
 the one-arrival walk, which applies ``choose`` and the guard directly and
 keeps a stream's arrivals in an ``Instance``; both learn through
-``learn_price``, so folding ``step`` over an instance's columns reproduces
-the batch runs exactly.  ``packing_lp`` builds every LP the package solves
-(prefix, offline and sampled), and ``sample_lp`` is its prefix/offline front
-end.  All of them read the k-option view of ``options``, in which a scalar
-instance is a multi-choice one with k = 1, so every policy takes either
-instance kind and returns a ``RunResult`` with the option each arrival took.
+``learn_price`` from the same chain of solutions, so folding ``step`` over
+an instance's columns reproduces the batch runs exactly, prices included.
+``packing_lp`` builds every LP the package solves (prefix, offline and
+sampled), and ``sample_lp`` is its prefix/offline front end.  All of them
+read the k-option view of ``options``, in which a scalar instance is a
+multi-choice one with k = 1, so every policy takes either instance kind
+and returns a ``RunResult`` with the option each arrival took.
 ``allocation_rule`` and ``multi_allocation_rule`` apply ``choose`` to one
 ``Column`` or ``MultiColumn``.
 """
@@ -43,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWindow, DimensionMismatch, NonpositiveReward, StreamExhausted
-from .lp import BoxedLp, solve_boxed_lp
+from .lp import BoxedLp, LpSolution, solve_boxed_lp
 from .model import (
     Column, DualPrice, Instance, MultiColumn, MultiInstance, RunResult, check_count, onehot,
 )
@@ -142,18 +146,25 @@ def schedule(n: int, eps: float, mode: str) -> list[tuple[int, float]]:
     raise ValueError(f"mode must be 'ola' or 'dpa', got {mode!r}")
 
 
-def learn_until(t: int, points, prices_used: list, learn, inst):
+def learn_until(t: int, points, prices_used: list, solves: list, learn, inst):
     """The price governing arrival ``t`` (0-based), or None in the first window.
 
     Learns, in order, every checkpoint ``(ell, shrink)`` of ``points`` with
-    ``ell <= t`` that ``prices_used`` does not log yet, calling
-    ``learn(inst, ell, shrink)``, which reads the first ``ell`` arrivals, and
-    appending ``(ell, price)``.  The batch runs call it once per price epoch,
-    ``step`` once per arrival.
+    ``ell <= t`` that ``prices_used`` does not log yet.  It calls
+    ``learn(inst, ell, shrink, start)``, which solves the prefix LP over the
+    first ``ell`` arrivals from ``start``, the last solution in ``solves``
+    (None before the first), and returns its ``LpSolution``.  The solution
+    is appended to ``solves`` and ``(ell, DualPrice(sol.dual))`` to
+    ``prices_used``.  Each prefix LP extends the one before it by more
+    arrivals, so the previous checkpoint's basis is a warm start.  The batch
+    runs call it once per price epoch, ``step`` once per arrival, with the
+    same solutions, so both learn the same prices.
     """
     while len(prices_used) < len(points) and points[len(prices_used)][0] <= t:
         ell, shrink = points[len(prices_used)]
-        prices_used.append((ell, learn(inst, ell, shrink)))
+        sol = learn(inst, ell, shrink, solves[-1] if solves else None)
+        solves.append(sol)
+        prices_used.append((ell, DualPrice(sol.dual)))
     return prices_used[-1][1] if prices_used else None
 
 
@@ -273,19 +284,20 @@ def price_rule(p, rewards, consumption) -> np.ndarray:
 def run_epochs(inst, eps: float, mode: str, learn) -> RunResult:
     """The policy ``mode`` over a whole instance, one price epoch at a time.
 
-    The checkpoints are ``schedule(n, eps, mode)``, and ``learn(inst, ell,
-    shrink)`` returns the DualPrice learned from the first ``ell`` arrivals
-    with that shrink; it governs arrivals ``ell+1 .. next checkpoint`` (the
-    last one up to n).  Arrivals up to the first checkpoint are declined.
+    The checkpoints are ``schedule(n, eps, mode)``, and ``learn`` is called
+    as ``learn_until`` says: the price learned from the first ``ell``
+    arrivals with that shrink governs arrivals ``ell+1 .. next checkpoint``
+    (the last one up to n).  Arrivals up to the first checkpoint are
+    declined.
     """
     rewards, consumption = options(inst)
     points = schedule(inst.n, eps, mode)
     remaining = np.array(inst.b, dtype=np.float64)
     choices = np.full(inst.n, -1, dtype=np.int64)
-    prices_used = []
+    prices_used, solves = [], []
     ends = [ell for ell, _ in points[1:]] + [inst.n]
     for (ell, _), end in zip(points, ends):
-        price = learn_until(ell, points, prices_used, learn, inst)
+        price = learn_until(ell, points, prices_used, solves, learn, inst)
         decide(price.p, rewards, consumption, ell, end, remaining, choices)
     return RunResult(choices, objective(rewards, choices), inst.b - remaining, prices_used)
 
@@ -334,8 +346,10 @@ def sample_lp(
     return packing_lp(rewards[:ell], consumption[:ell], inst.b, inst.n, shrink)
 
 
-def learn_price(inst: Instance | MultiInstance, ell: int, shrink: float) -> DualPrice:
-    """The row prices of the prefix LP, as the solver returns them.
+def learn_price(
+    inst: Instance | MultiInstance, ell: int, shrink: float, start: LpSolution | None = None
+) -> LpSolution:
+    """The solved prefix LP; its ``dual`` holds the row prices.
 
     Args:
         inst: the instance, of either kind, whose first ``ell`` arrivals are
@@ -343,8 +357,10 @@ def learn_price(inst: Instance | MultiInstance, ell: int, shrink: float) -> Dual
         ell: prefix length, 1 <= ell <= n.
         shrink: capacity shrink factor in [0, 1); the prefix LP right-hand
             side is (1 - shrink) * (ell / n) * b.
+        start: the solution of a shorter prefix LP of the same instance, the
+            solver's warm start (``solve_boxed_lp``), or None.
     """
-    return DualPrice(solve_boxed_lp(sample_lp(inst, ell, shrink)).dual)
+    return solve_boxed_lp(sample_lp(inst, ell, shrink), start)
 
 
 def run_ola(inst: Instance | MultiInstance, eps: float) -> RunResult:
@@ -375,7 +391,9 @@ class OnlineState:
     ``inst`` has the stream's m, n and b, and ``step`` writes into it the
     arrivals before the last ``schedule`` checkpoint, all that learning
     reads; later rows stay zero.  Also holds the remaining capacity, the
-    decisions so far and the prices learned so far (``prices_used``).
+    decisions so far, the prices learned so far (``prices_used``) and the
+    solved prefix LPs they came from (``solves``), the last of which is the
+    next checkpoint's warm start.
     """
 
     inst: Instance
@@ -383,6 +401,7 @@ class OnlineState:
     remaining: np.ndarray
     decisions: list[int] = field(default_factory=list)
     prices_used: list[tuple[int, DualPrice]] = field(default_factory=list)
+    solves: list[LpSolution] = field(default_factory=list)
 
     @classmethod
     def start(cls, m: int, n: int, b, eps: float, mode: str = "dpa") -> "OnlineState":
@@ -404,8 +423,9 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
     The state is advanced in place and returned for convenience.  Raises
     TypeError for an arrival that is not a Column, and StreamExhausted once
     n arrivals have been processed.  ``learn_price`` learns from
-    ``state.inst`` in the same schedule walk as the batch runs, so folding
-    step over an instance's columns reproduces run_ola / run_dpa exactly.
+    ``state.inst`` in the same schedule walk as the batch runs, each
+    checkpoint warm-started from ``state.solves``, so folding step over an
+    instance's columns reproduces run_ola / run_dpa exactly.
     """
     if not isinstance(col, Column):
         raise TypeError(f"step takes a Column, got {type(col).__name__}")
@@ -417,7 +437,7 @@ def step(state: OnlineState, col: Column) -> tuple[int, OnlineState]:
     if t < state.schedule[-1][0]:
         inst.rewards[t] = col.pi
         inst.consumption[t] = col.a
-    price = learn_until(t, state.schedule, state.prices_used, learn_price, inst)
+    price = learn_until(t, state.schedule, state.prices_used, state.solves, learn_price, inst)
     decision = 0
     if (price is not None and choose(price.p, (col.pi,), (col.a,)) == 0
             and (col.a <= state.remaining).all()):

@@ -17,8 +17,8 @@ each call.  Each stays until the benchmark moves to the ``engine`` names.
 from __future__ import annotations
 
 from .engine import run_epochs, sample_lp
-from .lp import solve_boxed_lp
-from .model import DualPrice, MultiInstance, RunResult
+from .lp import LpSolution, solve_boxed_lp
+from .model import MultiInstance, RunResult
 
 __all__ = ["run_dpa_multi"]
 
@@ -27,9 +27,11 @@ __all__ = ["run_dpa_multi"]
 flatten_lp = sample_lp
 
 
-def learn_price_multi(minst: MultiInstance, ell: int, shrink: float) -> DualPrice:
-    """Row prices of the flattened prefix LP, as the solver returns them."""
-    return DualPrice(solve_boxed_lp(flatten_lp(minst, ell, shrink)).dual)
+def learn_price_multi(
+    minst: MultiInstance, ell: int, shrink: float, start: LpSolution | None = None
+) -> LpSolution:
+    """The solved flattened prefix LP, from ``start``: the body of ``engine.learn_price``."""
+    return solve_boxed_lp(flatten_lp(minst, ell, shrink), start)
 
 
 def run_dpa_multi(minst: MultiInstance, eps: float) -> RunResult:

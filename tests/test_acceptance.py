@@ -183,9 +183,12 @@ def test_c06_stream_replay_equals_batch():
         state = OnlineState.start(inst.m, inst.n, inst.b, eps, mode="dpa")
         folded = [step(state, col)[0] for col in inst.columns()]
         assert np.array_equal(np.asarray(folded), batch.decisions), f"i={i}"
+        # Each side warm-starts every checkpoint from its own previous solve.
+        assert [(ell, p.p.tobytes()) for ell, p in state.prices_used] == [
+            (ell, p.p.tobytes()) for ell, p in batch.prices_used], f"i={i}"
         checked += 1
     _verdict("C6 batch equals step-folded stream",
-             checked == 100, "100 instances, decision-for-decision")
+             checked == 100, "100 instances, decision-for-decision, prices bitwise")
 
 
 def test_c07_schedule_and_slack_exact_cases():

@@ -25,11 +25,12 @@ from onlinelp import (
     run_dpa,
     run_ola,
     sample_lp,
+    shuffle,
     solve_boxed_lp,
     step,
 )
 from onlinelp import engine
-from onlinelp.engine import decide, options, price_rule
+from onlinelp.engine import decide, options, price_rule, run_epochs, schedule
 
 from _oracles import decide_loop
 
@@ -238,7 +239,7 @@ class TestDecide:
         n, m = inst.n, inst.m
         if kind == "secretary heavy tail":
             assert rewards.max() / rewards.min() > 1e12
-        prices = [learn_price(inst, n // 10, 0.1).p, learn_price(inst, n // 2, 0.05).p,
+        prices = [learn_price(inst, n // 10, 0.1).dual, learn_price(inst, n // 2, 0.05).dual,
                   np.zeros(m)]
         for p in prices:
             for remaining in (inst.b, 0.05 * inst.b, np.full(m, np.inf)):
@@ -250,7 +251,7 @@ class TestDecide:
     def test_price_rule_is_the_unlimited_loop(self, kind):
         inst = generate(DECIDE_SPECS[kind])
         rewards, consumption = options(inst)
-        p = learn_price(inst, inst.n // 10, 0.1).p
+        p = learn_price(inst, inst.n // 10, 0.1).dual
         want, rejected = assert_decide_matches_loop(
             p, rewards, consumption, 0, inst.n, np.full(inst.m, np.inf))
         assert rejected == 0
@@ -265,7 +266,7 @@ class TestDecide:
             inst = generate(DECIDE_SPECS[kind])
             rewards, consumption = options(inst)
             ell = inst.n // 10
-            p = learn_price(inst, ell, 0.1).p
+            p = learn_price(inst, ell, 0.1).dual
             f = rewards[ell:]
             priced = np.array([[float(p.dot(a)) for a in arrival] for arrival in consumption[ell:]])
             rounding = 4 * (inst.m + 2) * 2.0**-53 * (f + priced)
@@ -331,7 +332,7 @@ class TestDecide:
         layouts = [np.asfortranarray(consumption), wide[..., ::2],
                    np.ascontiguousarray(consumption.transpose(0, 2, 1)).transpose(0, 2, 1)]
         assert not any(G.flags.c_contiguous for G in layouts[:2])
-        p = learn_price(inst, inst.n // 10, 0.1).p
+        p = learn_price(inst, inst.n // 10, 0.1).dual
         for G in layouts:
             for remaining in (inst.b, np.full(inst.m, np.inf)):
                 assert_decide_matches_loop(p, rewards, G, inst.n // 10, inst.n, remaining)
@@ -362,19 +363,19 @@ class TestLearnPrice:
         # capacity (2/4)*2 = 1 takes exactly the best column, and the price
         # lands on the reward of the next column entering at value zero.
         inst = unit_instance([4.0, 3.0, 2.0, 1.0], 2.0)
-        price = learn_price(inst, 2, 0.0)
-        assert price.p[0] == pytest.approx(3.0)
+        price = learn_price(inst, 2, 0.0).dual
+        assert price[0] == pytest.approx(3.0)
 
     def test_price_of_fractional_column(self):
         inst = unit_instance([5.0, 1.0], 3.0)
         # ell=2, shrink=0: capacity 3, two columns -> both fit, price 0.
-        assert learn_price(inst, 2, 0.0).p[0] == pytest.approx(0.0)
+        assert learn_price(inst, 2, 0.0).dual[0] == pytest.approx(0.0)
 
     def test_shrink_tightens_capacity(self):
         inst = unit_instance([5.0, 1.0], 2.0)
         # capacity (1-0.5)*(2/2)*2 = 1, so only the 5 fits; its box binds
         # and the next column (reward 1) sets the price.
-        assert learn_price(inst, 2, 0.5).p[0] == pytest.approx(1.0)
+        assert learn_price(inst, 2, 0.5).dual[0] == pytest.approx(1.0)
 
     def test_sample_lp_shape_and_rhs(self):
         rng = np.random.default_rng(0)
@@ -393,7 +394,7 @@ class TestLearnPrice:
                      generate(GenSpec("adwords", 1, dict(n=200, m=3)))):
             for ell, shrink in ((20, 0.3), (100, 0.1), (inst.n, 0.0)):
                 sol = solve_boxed_lp(sample_lp(inst, ell, shrink))
-                assert learn_price(inst, ell, shrink).p.tobytes() == sol.dual.tobytes()
+                assert learn_price(inst, ell, shrink).dual.tobytes() == sol.dual.tobytes()
 
     def test_validation(self):
         inst = unit_instance([1.0, 2.0], 1.0)
@@ -463,7 +464,7 @@ class TestRunDpa:
         ell0, price0 = res.prices_used[0]
         assert ell0 == 4
         expected = learn_price(inst, 4, h_factor(4, 16, 0.25))
-        assert np.array_equal(price0.p, expected.p)
+        assert np.array_equal(price0.p, expected.dual)
 
     def test_feasible_on_random_instances(self):
         for seed in range(10):
@@ -476,6 +477,44 @@ class TestRunDpa:
             res = run_dpa(inst, 0.15)
             assert np.all(res.fill <= inst.b)
             assert np.isin(res.decisions, [0, 1]).all()
+
+
+def cold_learn(inst, ell, shrink, start):
+    """The learner with the warm start left out: every checkpoint solves from y = 0."""
+    return learn_price(inst, ell, shrink)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("kind, params", [
+        ("secretary", dict(n=2000, k=100, reward_dist="uniform")),
+        ("secretary", dict(n=2000, k=100, reward_dist="heavy_tail")),
+        ("routing", dict(m=1, n=2000, q=0.5, capacity=200.0))])
+    def test_one_row_runs_are_the_cold_walks(self, kind, params):
+        """At m = 1 the warm start keeps the smallest optimal price: prices and choices bitwise."""
+        for seed in range(6):
+            inst = generate(GenSpec(kind, seed, params))
+            for eps in (0.05, 0.1, 0.2):
+                warm, cold = run_dpa(inst, eps), run_epochs(inst, eps, "dpa", cold_learn)
+                assert np.array_equal(warm.choices, cold.choices), (seed, eps)
+                assert [(ell, p.p.tobytes()) for ell, p in warm.prices_used] == [
+                    (ell, p.p.tobytes()) for ell, p in cold.prices_used], (seed, eps)
+
+    def test_stream_solves_start_warm_on_routing(self):
+        """The stream keeps each checkpoint's solution; warm, DPA takes <= 0.8x the iterations."""
+        spec = GenSpec("routing", 0, dict(m=5, n=2000, q=0.5, capacity=200.0))
+        inst = shuffle(generate(spec), 1)
+        state = OnlineState.start(inst.m, inst.n, inst.b, 0.1, "dpa")
+        for col in inst.columns():
+            step(state, col)
+        points = schedule(inst.n, 0.1, "dpa")
+        assert len(state.solves) == len(points)
+        for (ell, price), sol in zip(state.prices_used, state.solves):
+            assert price.p.tobytes() == sol.dual.tobytes()
+        cold = [learn_price(inst, ell, shrink) for ell, shrink in points]
+        assert state.solves[0].stats == cold[0].stats  # the first checkpoint has no start
+        warm_total = sum(sol.stats.iterations for sol in state.solves)
+        cold_total = sum(sol.stats.iterations for sol in cold)
+        assert warm_total <= 0.8 * cold_total, (warm_total, cold_total)
 
 
 class TestStreaming:

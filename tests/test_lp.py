@@ -24,6 +24,7 @@ from onlinelp import (
     verify_complementary_slackness,
 )
 from onlinelp import lp as lp_module
+from onlinelp.engine import schedule
 
 from _oracles import (
     cs_report_loop,
@@ -371,8 +372,12 @@ SWEEP += [GenSpec("adwords", seed, dict(n=n, m=m))
           for n, m, seed in [(1000, 5, 0), (1000, 10, 2), *(c for c in ADWORDS_OPTIMA if c[0] <= 1000)]]
 
 
-@pytest.mark.parametrize("spec", SWEEP, ids=lambda spec: "-".join(
-    [spec.kind, f"seed={spec.seed}", *(f"{key}={value}" for key, value in spec.params.items())]))
+def _spec_id(spec):
+    return "-".join([spec.kind, f"seed={spec.seed}",
+                     *(f"{key}={value}" for key, value in spec.params.items())])
+
+
+@pytest.mark.parametrize("spec", SWEEP, ids=_spec_id)
 def test_every_family_solves(spec):
     """offline_opt, run_ola and run_dpa finish within their budgets; the optimum is HiGHS's."""
     inst = generate(spec)
@@ -383,6 +388,93 @@ def test_every_family_solves(spec):
     highs = _highs_optimum(sample_lp(inst))
     if highs is not None:
         assert opt == pytest.approx(highs, rel=1e-8)
+
+
+def dpa_walk(inst, warm, eps=0.1):
+    """DPA's checkpoint LPs of ``inst`` and their solutions, each from the one before when warm."""
+    lps, sols = [], []
+    for ell, shrink in schedule(inst.n, eps, "dpa"):
+        lps.append(sample_lp(inst, ell, shrink))
+        sols.append(solve_boxed_lp(lps[-1], sols[-1] if warm and sols else None))
+    return lps, sols
+
+
+@pytest.mark.parametrize("spec", SWEEP, ids=_spec_id)
+def test_warm_started_checkpoints_reach_the_cold_optimum(spec):
+    """Each DPA checkpoint LP, solved from the previous one's solution, has the cold optimum."""
+    inst = shuffle(generate(spec), 1)
+    for case in (inst, perturb_rewards(inst, seed=7)):
+        lps, warm = dpa_walk(case, warm=True)
+        for lp, cold, sol in zip(lps, dpa_walk(case, warm=False)[1], warm):
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+            assert verify_complementary_slackness(lp, sol) == []
+
+
+@pytest.mark.parametrize("m", [5, 10, 30])
+def test_tied_start_on_plain_adwords_solves_cold(m):
+    """Plain adwords' new groups all tie at the previous price, so every checkpoint starts cold."""
+    lps, warm = dpa_walk(shuffle(_adwords(1000, m, 0), 1), warm=True)
+    for lp, sol in zip(lps, warm):
+        cold = solve_boxed_lp(lp)
+        assert sol.stats.iterations == cold.stats.iterations
+        assert sol.dual.tobytes() == cold.dual.tobytes()
+
+
+def test_warm_start_saves_iterations_on_jittered_adwords():
+    """Jittered rewards break the ties: the later checkpoints start warm, at under 60% of cold."""
+    inst = perturb_rewards(shuffle(_adwords(2000, 30, 0), 1), seed=7)
+    warm, cold = (sum(sol.stats.iterations for sol in dpa_walk(inst, flag)[1])
+                  for flag in (True, False))
+    assert warm <= 0.6 * cold, (warm, cold)
+
+
+def test_start_from_an_unrelated_lp_returns_the_optimum():
+    """A start of the same shape but other data falls back or repairs; the answer is certified.
+
+    The other LPs have random data (more groups, or as many), or the
+    start's own columns under other capacities, where the start is dual
+    feasible and the dual simplex repairs it.
+    """
+    rng = np.random.default_rng(3)
+    for seed in range(40):
+        c, A, d, k = random_grouped_lp(seed)
+        source = solve_boxed_lp(BoxedLp(c, A, d, k))
+        m = A.shape[0]
+        others = [BoxedLp(rng.uniform(-0.2, 1.0, c.size + grow * k),
+                          rng.uniform(0.0, 1.0, (m, c.size + grow * k)),
+                          rng.uniform(0.0, 2.0, m), k) for grow in (0, 3)]
+        others.append(BoxedLp(c, A, rng.uniform(0.0, 2.0 * d.max() + 1.0, m), k))
+        for lp in others:
+            sol, cold = solve_boxed_lp(lp, source), solve_boxed_lp(lp)
+            assert sol.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+            assert verify_complementary_slackness(lp, sol) == []
+    # A start whose working column is the zero vector in the new LP: the basis
+    # is singular there, and the solve starts from the empty prefix instead.
+    source = solve_boxed_lp(_lp([2.0, 1.0], [[1.0, 1.0]], [1.5]))
+    assert source.basis[0].tolist() == [3]  # column 1's slack, beside its key, column 1
+    lp = _lp([2.0, 1.0], [[1.0, 0.0]], [1.5])
+    sol = solve_boxed_lp(lp, source)
+    assert sol.objective == pytest.approx(3.0)
+    assert sol.stats == solve_boxed_lp(lp).stats
+
+
+def test_start_of_another_shape_is_rejected():
+    lp = BoxedLp(np.ones(6), np.ones((2, 6)), np.ones(2), k=2)
+    for other in (BoxedLp(np.ones(6), np.ones((1, 6)), np.ones(1), k=2),   # another m
+                  BoxedLp(np.ones(3), np.ones((2, 3)), np.ones(2), k=1),   # another k
+                  BoxedLp(np.ones(8), np.ones((2, 8)), np.ones(2), k=2)):  # more groups
+        with pytest.raises(DimensionMismatch, match="start"):
+            solve_boxed_lp(lp, solve_boxed_lp(other))
+
+
+def test_basis_numbers_row_slacks_below_zero():
+    """Group t's variables are t*(k+1) + j, and row i's slack is -1-i."""
+    sol = solve_boxed_lp(_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 0.0]], [0.5, 1.0]))
+    working, keys = sol.basis
+    # Column 0 is half taken: its slack (variable 1) works beside its key,
+    # column 0; column 1 is whole, its key; row 1's slack stays basic.
+    assert sorted(working.tolist()) == [-2, 1]
+    assert keys.tolist() == [0, 2]
 
 
 class TestGroupedLp:

@@ -111,9 +111,9 @@ class TestFlatten:
 
     def test_learn_price_multi_returns_resource_prices_only(self):
         inst = random_multi(4, n=30, k=2)
-        price = learn_price_multi(inst, 10, 0.3)
-        assert price.p.shape == (inst.m,)
-        assert price.p.min() >= 0.0
+        price = learn_price_multi(inst, 10, 0.3).dual
+        assert price.shape == (inst.m,)
+        assert price.min() >= 0.0
 
 
 class TestRunDpaMulti:
