@@ -22,7 +22,9 @@ from typing import get_args
 from .engine import CONDITION_VARIANTS, check_eps, check_input_condition, options
 from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
-from .harness import ALGORITHMS, column_sample_solve, dispatch, offline_opt, run_grid, usable_cpus
+from .harness import (
+    ALGORITHMS, column_sample_solve, competitive_ratio, dispatch, offline_opt, run_grid, usable_cpus,
+)
 # Unused here: benchmarks/tracer.py wraps ``cli.run_trials`` and fails if the
 # name is gone (ROADMAP item 2 retargets it to ``run_grid``).
 from .harness import run_trials  # noqa: F401
@@ -194,11 +196,10 @@ def cmd_run(args) -> int:
         inst = shuffle(inst, args.shuffle_seed)
     result = dispatch(inst, args.algo, args.eps)
     opt, _, _ = offline_opt(inst)
-    ratio = result.objective / opt if opt > 0.0 else 0.0
     print(f"algo={args.algo} eps={args.eps:g} m={inst.m} n={inst.n}")
     print(f"objective = {real(result.objective)}")
     print(f"opt = {real(opt)}")
-    print(f"ratio = {ratio:.6f}")
+    print(f"ratio = {competitive_ratio(result.objective, opt):.6f}")
     print(f"accepted = {result.accepted} of {inst.n}")
     _print_fill(result.fill, inst.b)
     for ell, price in result.prices_used:

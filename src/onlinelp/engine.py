@@ -410,10 +410,7 @@ class OnlineState:
         check_count("row count m", m)
         check_count("arrival count n", n)
         points = schedule(n, eps, mode)
-        # A one-arrival Instance checks m and b; its arrival rows are then
-        # widened to n zero rows, which need no scan.
-        inst = Instance(m, 1, np.array(b, dtype=np.float64), np.zeros(1), np.zeros((1, m)))
-        inst.n, inst.rewards, inst.consumption = n, np.zeros(n), np.zeros((n, m))
+        inst = Instance(m, n, np.array(b, dtype=np.float64), np.zeros(n), np.zeros((n, m)))
         return cls(inst=inst, schedule=points, remaining=inst.b.copy())
 
 

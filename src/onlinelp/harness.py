@@ -35,6 +35,7 @@ __all__ = [
     "TrialRecord",
     "TrialStats",
     "offline_opt",
+    "competitive_ratio",
     "greedy_baseline",
     "run_grid",
     "run_trials",
@@ -73,6 +74,11 @@ def offline_opt(inst: Instance | MultiInstance) -> tuple[float, np.ndarray, Dual
     """
     sol = solve_boxed_lp(flatten_lp(inst))
     return sol.objective, sol.x.reshape(inst.rewards.shape), DualPrice(sol.dual)
+
+
+def competitive_ratio(objective: float, opt: float) -> float:
+    """A run's objective over the offline optimum, or 0 when the optimum is not positive."""
+    return objective / opt if opt > 0.0 else 0.0
 
 
 def greedy_baseline(inst: Instance | MultiInstance) -> RunResult:
@@ -142,10 +148,9 @@ def _one_trial(task) -> TrialRecord:
     result = dispatch(shuffled, algo, eps)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     violations = int(np.sum(result.fill > shuffled.b))
-    ratio = result.objective / opt if opt > 0.0 else 0.0
     return TrialRecord(
-        trial=trial, seed=seed, objective=result.objective, opt=opt,
-        ratio=ratio, violations=violations, runtime_ms=elapsed_ms,
+        trial=trial, seed=seed, objective=result.objective, opt=opt, violations=violations,
+        ratio=competitive_ratio(result.objective, opt), runtime_ms=elapsed_ms,
     )
 
 

@@ -330,11 +330,7 @@ def solve_boxed_lp(lp: BoxedLp, start: LpSolution | None = None) -> LpSolution:
         if ties <= m and not (rc[free] > dual_tol).any():
             break
     xb = binv @ (lp.d - colsum(key))
-    # busy[t] counts group t's working members.  Row slack i's entry, at
-    # ell + i, is 1 more than its own count and never falls below 1, so a
-    # row slack is never passed in a long step.
-    busy = np.bincount(gid[basis], minlength=ell + m)
-    busy[ell:] += 1
+    row_slacks = np.arange(ell + m) >= ell
     prices = np.empty((2, m))
     while True:
         # Primal values, in Python since there are about m of them: each
@@ -393,13 +389,13 @@ def solve_boxed_lp(lp: BoxedLp, start: LpSolution | None = None) -> LpSolution:
         # (the key's is 0), and passing one of its breakpoints makes that
         # line the group's key (at k = 1, a flip between an option and its
         # slack) and raises the slope by the steepness gained.  A row
-        # slack, or a variable of a group with other working members,
-        # cannot be passed: its first breakpoint ends the step.
-        # The leaving variable's group is free when it is the only working
-        # member there, since its column leaves the basis with it.
+        # slack, or a variable of a group with working members, cannot be
+        # passed: its first breakpoint ends the step.  The leaving variable
+        # v's group is free when v is its only working member, since v's
+        # column leaves the basis with it.
         groups = gid[cand]
-        blocked = busy > 0
-        blocked[gid[basis[r]]] = busy[gid[basis[r]]] > 1
+        blocked = row_slacks.copy()
+        blocked[[t for t, ws in members.items() if len(ws) > 1 or t != v // width]] = True
         step = _long_step(cand, groups, keys, drop, rise, blocked, k, piv_tol, need)
         if step is None:
             raise fail(InternalError, f"no entering variable repairs row {r}")
@@ -414,8 +410,7 @@ def solve_boxed_lp(lp: BoxedLp, start: LpSolution | None = None) -> LpSolution:
             flips += passed.size
 
         # Exchange: q enters row r.
-        out, gq = int(basis[r]), int(gid[q])
-        ref = int(keys[gq])
+        ref = int(keys[gid[q]])
         dcol = binv @ (A[:, q] - A[:, ref])
         piv = float(dcol[r])
         if abs(piv) <= piv_tol:
@@ -423,9 +418,7 @@ def solve_boxed_lp(lp: BoxedLp, start: LpSolution | None = None) -> LpSolution:
         step = xb[r] / piv
         xb -= step * dcol
         xb[r] = step
-        busy[gid[out]] -= 1
-        busy[gq] += 1
-        free[out], free[q] = True, False
+        free[basis[r]], free[q] = True, False
         cw[r] = c[q] - c[ref]
         basis[r] = q
         row = binv[r] / piv

@@ -47,6 +47,16 @@ def adwords_file(tmp_path):
     return path
 
 
+@pytest.fixture()
+def zero_reward_file(tmp_path):
+    """Routing with every reward 0, so the offline optimum is 0."""
+    path = tmp_path / "zero.json"
+    assert main(["gen", "--kind", "routing", "--m", "3", "--n", "200", "--q", "0.5",
+                 "--capacity", "20", "--reward-lo", "0", "--reward-hi", "0",
+                 "-o", str(path)]) == 0
+    return path
+
+
 class TestGen:
     def test_summary_lists_shape_and_abar(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
@@ -125,6 +135,11 @@ class TestRun:
         assert "ratio = " in out
         assert "fill[0]" in out
         assert "price learned at t=20" in out
+
+    def test_zero_optimum_gives_ratio_zero(self, zero_reward_file, capsys):
+        assert main(["run", "-i", str(zero_reward_file), "--algo", "dpa", "--eps", "0.1"]) == 0
+        out = capsys.readouterr().out
+        assert "opt = 0\n" in out and "ratio = 0.000000\n" in out
 
     def test_decisions_out(self, secretary_file, tmp_path, capsys):
         dest = tmp_path / "dec.json"
@@ -286,6 +301,14 @@ class TestBench:
                      "--eps", "0.1,0.2", "--trials", "2", "--jobs", "1",
                      "-o", str(tmp_path / "res.csv")]) == 0
         assert calls == [150]
+
+    def test_zero_optimum_gives_ratio_zero(self, zero_reward_file, tmp_path):
+        out = tmp_path / "zero.csv"
+        assert main(["bench", "-i", str(zero_reward_file), "--algos", "ola,dpa,greedy_baseline",
+                     "--eps", "0.1,0.2", "--trials", "2", "--jobs", "1", "-o", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3 * 2 * 2
+        assert all(float(row[5]) == 0.0 and float(row[6]) == 0.0 for row in rows)
 
     def test_unknown_algo_is_usage_error(self, tmp_path, capsys):
         # checked when the flags are parsed, before the (missing) input is opened
