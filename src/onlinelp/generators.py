@@ -1,25 +1,26 @@
 """Seeded instance families for experiments and benchmarks.
 
 Four families: network-routing style 0/1 consumption columns, single-knapsack
-"secretary" columns, adwords bid tables (converted to multi-choice
-instances by ``adwords_to_multi``), and a yield-management stream with
-Poisson arrival counts.  All randomness flows through
-``numpy.random.default_rng(seed)``, so every family regenerates
-bit-identically for a fixed seed, and each instance records its generating
-parameters in ``meta``.
+"secretary" columns, adwords bid tables (returned as multi-choice instances
+by ``adwords_to_multi``), and a yield-management stream with Poisson arrival
+counts.  All randomness flows through ``numpy.random.default_rng(seed)``, so
+every family regenerates bit-identically for a fixed seed.
 
 ``GENERATORS`` maps each kind to its generator, whose signature is the only
-record of the family's parameters: ``generate`` checks specs against it and
-the CLI derives its ``gen`` flags from it.  The module builds instances
-only: it imports ``errors`` and ``model``, none of the policy or the solver.
+record of the family's parameters: every call checks its arguments against
+the annotations and records them in the instance's ``meta``, ``generate``
+checks specs against it and the CLI derives its ``gen`` flags from it.  The
+module builds instances only: it imports ``errors`` and ``model``, none of
+the policy or the solver.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -45,6 +46,55 @@ def _require(cond: bool, msg: str) -> None:
         raise BadSpec(msg)
 
 
+GENERATORS: dict = {}
+
+
+def _generator(kind: str):
+    """Register a ``gen_*`` as ``GENERATORS[kind]``, its signature evaluated once.
+
+    Each call binds the arguments with their defaults and checks each against
+    its annotation: ``seed`` with ``check_seed`` (ValueError), every other
+    ``int`` as a count >= 1, every ``float`` as a real number and every
+    ``Literal`` as one of its choices (BadSpec).  The instance's ``meta`` is
+    the kind, every argument and what the generator adds.
+    """
+
+    def register(gen):
+        sig = inspect.signature(gen, eval_str=True)
+
+        @functools.wraps(gen)
+        def checked(*args, **kwargs):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            # numpy scalars become Python values, so the recorded meta saves as JSON.
+            values = {name: _plain(value) for name, value in bound.arguments.items()}
+            for name, value in values.items():
+                _check_argument(name, sig.parameters[name].annotation, value)
+            inst = gen(**values)
+            inst.meta = {"kind": kind, **values, **(inst.meta or {})}
+            return inst
+
+        checked.__signature__ = sig
+        GENERATORS[kind] = checked
+        return checked
+
+    return register
+
+
+def _check_argument(name: str, annotation, value) -> None:
+    if name == "seed":
+        check_seed(name, value)
+    elif get_origin(annotation) is Literal:
+        _require(value in get_args(annotation), f"unknown {name} {value!r}")
+    elif annotation is int:
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
+                 f"{name} must be an integer >= 1, got {value!r}")
+    else:
+        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
+                 f"{name} must be a real number, got {value!r}")
+
+
+@_generator("routing")
 def gen_routing(
     m: int,
     n: int,
@@ -59,8 +109,6 @@ def gen_routing(
     Every column uses at least one row: all-zero draws are redrawn, so the
     per-entry mean conditional on inclusion is q / (1 - (1-q)^m), not q.
     """
-    check_seed("seed", seed)
-    _require(m >= 1 and n >= 1, f"need m >= 1 and n >= 1, got m={m}, n={n}")
     _require(0.0 < q <= 1.0, f"q must be in (0, 1], got {q}")
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
     _require(0.0 <= reward_lo <= reward_hi < math.inf, "need 0 <= reward_lo <= reward_hi < inf")
@@ -72,16 +120,10 @@ def gen_routing(
             break
         paths[empty] = (rng.random((empty.size, m)) < q).astype(np.float64)
     rewards = rng.uniform(reward_lo, reward_hi, n)
-    return Instance(
-        m=m, n=n, b=np.full(m, float(capacity)),
-        rewards=rewards, consumption=paths,
-        meta={
-            "kind": "routing", "m": m, "n": n, "q": q, "capacity": capacity,
-            "reward_lo": reward_lo, "reward_hi": reward_hi, "seed": seed,
-        },
-    )
+    return Instance(m=m, n=n, b=np.full(m, float(capacity)), rewards=rewards, consumption=paths)
 
 
+@_generator("secretary")
 def gen_secretary(
     n: int,
     k: int,
@@ -97,30 +139,19 @@ def gen_secretary(
     (lognormal with the given sigma), the latter concentrating most of the
     optimal value in a few columns.
     """
-    check_seed("seed", seed)
-    _require(n >= 1, f"need n >= 1, got {n}")
-    _require(1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}")
+    _require(k <= n, f"need k <= n, got k={k}, n={n}")
     rng = np.random.default_rng(seed)
     if reward_dist == "uniform":
         _require(0.0 <= reward_lo <= reward_hi < math.inf,
                  "need 0 <= reward_lo <= reward_hi < inf")
         rewards = rng.uniform(reward_lo, reward_hi, n)
-    elif reward_dist == "heavy_tail":
+    else:
         _require(sigma > 0.0, f"sigma must be positive, got {sigma}")
         rewards = rng.lognormal(0.0, sigma, n)
-    else:
-        raise BadSpec(f"unknown reward_dist {reward_dist!r}")
-    return Instance(
-        m=1, n=n, b=np.array([float(k)]),
-        rewards=rewards, consumption=np.ones((n, 1)),
-        meta={
-            "kind": "secretary", "n": n, "k": k, "reward_dist": reward_dist,
-            "reward_lo": reward_lo, "reward_hi": reward_hi, "sigma": sigma,
-            "seed": seed,
-        },
-    )
+    return Instance(m=1, n=n, b=np.array([float(k)]), rewards=rewards, consumption=np.ones((n, 1)))
 
 
+@_generator("adwords")
 def gen_adwords(
     n: int,
     m: int,
@@ -130,8 +161,8 @@ def gen_adwords(
     budget: float = 0.3,
     condition_eps: float = 0.1,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """An n-by-m uniform bid table plus per-bidder budgets.
+) -> MultiInstance:
+    """An n-by-m uniform bid table plus per-bidder budgets, as a multi-choice instance.
 
     budget_rule:
       * "fraction": bidder i gets ``budget * (n/m) * mean_bid_i``, a binding
@@ -141,11 +172,9 @@ def gen_adwords(
         ``condition_eps`` (the stricter of m*log(m*n/eps)/eps^2 and the
         per_row check's 20*m*log(n/eps)/eps^2, times the bidder's max bid).
 
-    Returns the raw (bids, budgets) pair; feed it to adwords_to_multi to get
-    a runnable instance.
+    Returns ``adwords_to_multi(bids, budgets)``: the bids are its rewards, and
+    its ``meta`` adds the budgets in bid units and each bidder's row scale.
     """
-    check_seed("seed", seed)
-    _require(n >= 1 and m >= 1, f"need n >= 1 and m >= 1, got n={n}, m={m}")
     _require(0.0 <= bid_lo <= bid_hi < math.inf, "need 0 <= bid_lo <= bid_hi < inf")
     _require(0.0 < condition_eps < 1.0, f"condition_eps must be in (0, 1), got {condition_eps}")
     rng = np.random.default_rng(seed)
@@ -153,7 +182,7 @@ def gen_adwords(
     if budget_rule == "fraction":
         _require(budget > 0.0, f"budget fraction must be positive, got {budget}")
         budgets = budget * (n / m) * bids.mean(axis=0)
-    elif budget_rule in ("meet", "miss"):
+    else:
         eps = condition_eps
         per_unit = max(
             m * math.log(m * n / eps) / eps**2,
@@ -161,9 +190,7 @@ def gen_adwords(
         )
         factor = 1.05 if budget_rule == "meet" else 0.25
         budgets = factor * per_unit * bids.max(axis=0)
-    else:
-        raise BadSpec(f"unknown budget_rule {budget_rule!r}")
-    return bids, budgets
+    return adwords_to_multi(bids, budgets)
 
 
 def adwords_to_multi(bids, budgets) -> MultiInstance:
@@ -206,6 +233,7 @@ def adwords_to_multi(bids, budgets) -> MultiInstance:
     )
 
 
+@_generator("yield")
 def gen_yield(
     horizon: float,
     rate: float,
@@ -223,10 +251,8 @@ def gen_yield(
     picks a product uniformly, pays its base price jittered within 20 percent,
     and consumes its fixed resource bundle (entries in [0, 1]).
     """
-    check_seed("seed", seed)
     _require(horizon > 0.0 and rate > 0.0, "need horizon > 0 and rate > 0")
     _require(rate * horizon >= 1.0, f"rate*horizon must be >= 1, got {rate * horizon}")
-    _require(n_products >= 1 and n_resources >= 1, "need at least one product and resource")
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
     _require(0.0 <= price_lo <= price_hi < math.inf, "need 0 <= price_lo <= price_hi < inf")
     rng = np.random.default_rng(seed)
@@ -239,13 +265,7 @@ def gen_yield(
     rewards = base[kinds] * rng.uniform(0.8, 1.2, n)
     return Instance(
         m=n_resources, n=n, b=np.full(n_resources, float(capacity)),
-        rewards=rewards, consumption=usage[kinds],
-        meta={
-            "kind": "yield", "horizon": horizon, "rate": rate,
-            "n_products": n_products, "n_resources": n_resources,
-            "capacity": capacity, "price_lo": price_lo, "price_hi": price_hi,
-            "seed": seed, "realized_n": n,
-        },
+        rewards=rewards, consumption=usage[kinds], meta={"realized_n": n},
     )
 
 
@@ -270,23 +290,15 @@ class GenSpec:
     params: dict = field(default_factory=dict)
 
 
-GENERATORS = {
-    "routing": gen_routing,
-    "secretary": gen_secretary,
-    "adwords": gen_adwords,
-    "yield": gen_yield,
-}
-
-
 def gen_parameters(kind: str) -> dict[str, inspect.Parameter]:
     """The keyword parameters of ``kind``'s generator but ``seed``, annotations evaluated."""
-    params = dict(inspect.signature(GENERATORS[kind], eval_str=True).parameters)
+    params = dict(GENERATORS[kind].__signature__.parameters)
     del params["seed"]
     return params
 
 
 def generate(spec: GenSpec) -> Instance | MultiInstance:
-    """Materialize a GenSpec; adwords specs come back as multi-choice instances.
+    """Materialize a GenSpec with its kind's generator.
 
     BadSpec names an unknown kind and any unknown or missing parameter.
     """
@@ -300,15 +312,7 @@ def generate(spec: GenSpec) -> Instance | MultiInstance:
                if par.default is par.empty and name not in spec.params]
     if missing:
         raise BadSpec(f"missing parameters for {spec.kind}: {missing}")
-    # numpy scalars become Python values, so the recorded meta saves as JSON.
-    plain = {name: _plain(value) for name, value in spec.params.items()}
-    seed = _plain(spec.seed)
-    out = GENERATORS[spec.kind](seed=seed, **plain)
-    if spec.kind != "adwords":
-        return out
-    inst = adwords_to_multi(*out)
-    inst.meta.update({"params": plain, "seed": seed})
-    return inst
+    return GENERATORS[spec.kind](seed=spec.seed, **spec.params)
 
 
 def _plain(value):

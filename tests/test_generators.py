@@ -94,28 +94,25 @@ class TestSecretary:
 
 class TestAdwords:
     def test_fraction_budget_rule(self):
-        bids, budgets = gen_adwords(n=400, m=4, budget_rule="fraction",
-                                    budget=0.3, seed=4)
+        inst = gen_adwords(n=400, m=4, budget_rule="fraction", budget=0.3, seed=4)
+        bids, budgets = inst.rewards, inst.meta["budgets_original"]
         assert bids.shape == (400, 4)
         np.testing.assert_allclose(
             budgets, 0.3 * (400 / 4) * bids.mean(axis=0)
         )
 
     def test_meet_satisfies_per_row_condition(self):
-        bids, budgets = gen_adwords(n=250, m=2, budget_rule="meet",
-                                    condition_eps=0.3, seed=5)
-        inst = adwords_to_multi(bids, budgets)
+        inst = gen_adwords(n=250, m=2, budget_rule="meet", condition_eps=0.3, seed=5)
         rep = check_input_condition(inst, 0.3, "per_row")
         assert rep.satisfied
 
     def test_miss_fails_per_row_condition(self):
-        bids, budgets = gen_adwords(n=250, m=2, budget_rule="miss",
-                                    condition_eps=0.3, seed=5)
-        rep = check_input_condition(adwords_to_multi(bids, budgets), 0.3, "per_row")
+        inst = gen_adwords(n=250, m=2, budget_rule="miss", condition_eps=0.3, seed=5)
+        rep = check_input_condition(inst, 0.3, "per_row")
         assert not rep.satisfied
 
     def test_bids_in_range(self):
-        bids, _ = gen_adwords(n=100, m=3, bid_lo=0.2, bid_hi=0.9, seed=6)
+        bids = gen_adwords(n=100, m=3, bid_lo=0.2, bid_hi=0.9, seed=6).rewards
         assert bids.min() >= 0.2 and bids.max() < 0.9
 
 
@@ -142,6 +139,12 @@ class TestYield:
         # base in [5,6), jitter in [0.8, 1.2)
         assert inst.rewards.min() >= 4.0
         assert inst.rewards.max() < 7.2
+
+    def test_zero_poisson_count_is_redrawn(self):
+        # Poisson(1) draws 0 first at seed 2; the count is drawn again.
+        inst = gen_yield(horizon=1.0, rate=1.0, seed=2)
+        assert inst.n >= 1
+        assert inst.meta["realized_n"] == inst.n
 
     def test_rejects_bad_params(self):
         with pytest.raises(BadSpec):
@@ -179,10 +182,29 @@ def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
        ValueError, "seed must be an integer >= 0")
       for kind, params, _ in UNIFORM_BOUNDS for seed in (True, 1.5, -1)],
     (lambda: gen_adwords(10, 2, seed=True), ValueError, "seed must be an integer >= 0"),
+    (lambda: gen_secretary(n=10, k=2.5), BadSpec, "k must be an integer >= 1"),
+    (lambda: gen_secretary(n=10, k=True), BadSpec, "k must be an integer >= 1"),
+    (lambda: gen_routing(m=2.5, n=10, q=0.5, capacity=5.0), BadSpec, "m must be an integer >= 1"),
+    (lambda: gen_routing(m=0, n=10, q=0.5, capacity=5.0), BadSpec, "m must be an integer >= 1"),
+    (lambda: gen_routing(m=2, n=True, q=0.5, capacity=5.0), BadSpec, "n must be an integer >= 1"),
+    (lambda: gen_adwords(n=10, m=2.0), BadSpec, "m must be an integer >= 1"),
+    (lambda: gen_yield(horizon=5.0, rate=2.0, n_products=2.5), BadSpec,
+     "n_products must be an integer >= 1"),
+    (lambda: gen_routing(m=2, n=10, q=True, capacity=5.0), BadSpec, "q must be a real number"),
+    (lambda: gen_routing(m=2, n=10, q=0.5, capacity=True), BadSpec,
+     "capacity must be a real number"),
+    (lambda: gen_yield(horizon=5.0, rate=True), BadSpec, "rate must be a real number"),
+    (lambda: generate(GenSpec("routing", 0, dict(m=3, n="10", q=0.5, capacity=5.0))), BadSpec,
+     "n must be an integer >= 1"),
+    (lambda: generate(GenSpec("routing", 0, dict(m=3, n=10, q="0.5", capacity=5.0))), BadSpec,
+     "q must be a real number"),
 ], ids=["unknown budget_rule", "1-D bid table", "negative bid", "bool shuffle seed",
         "fractional shuffle seed", "negative shuffle seed",
         *(f"{kind} seed {seed!r}" for kind, _, _ in UNIFORM_BOUNDS for seed in (True, 1.5, -1)),
-        "bool gen_adwords seed"])
+        "bool gen_adwords seed", "fractional secretary k", "bool secretary k",
+        "fractional routing m", "zero routing m", "bool routing n", "float adwords m",
+        "fractional yield n_products", "bool routing q", "bool routing capacity",
+        "bool yield rate", "string routing n", "string routing q"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
@@ -260,7 +282,7 @@ class TestGenerate:
 
     def test_wrongly_typed_value_is_not_called_incomplete(self):
         spec = GenSpec("routing", params=dict(m=3, n="10", q=0.5, capacity=5.0))
-        with pytest.raises(TypeError) as exc:
+        with pytest.raises(BadSpec, match="^n must be") as exc:
             generate(spec)
         assert "incomplete" not in str(exc.value)
 
@@ -276,7 +298,9 @@ class TestGenerate:
         assert back.meta == inst.meta
         assert np.array_equal(back.rewards, inst.rewards)
         ads = generate(GenSpec("adwords", 2, dict(n=np.int64(20), m=np.int32(3))))
-        assert instance_from_json(instance_to_json(ads)).meta["params"] == {"n": 20, "m": 3}
+        assert (ads.meta["n"], ads.meta["m"]) == (20, 3)
+        assert type(ads.meta["n"]) is int and type(ads.meta["m"]) is int
+        assert instance_from_json(instance_to_json(ads)).meta == ads.meta
         shuffled = shuffle(inst, np.int64(4))
         assert type(shuffled.meta["shuffle_seed"]) is int
         perturbed = perturb_rewards(ads, np.float64(1e-9), np.int64(5))
