@@ -7,11 +7,12 @@ counts.  All randomness flows through ``numpy.random.default_rng(seed)``, so
 every family regenerates bit-identically for a fixed seed.
 
 ``GENERATORS`` maps each kind to its generator, whose signature is the only
-record of the family's parameters: every call checks its arguments against
-the annotations and records them in the instance's ``meta``, ``generate``
-checks specs against it and the CLI derives its ``gen`` flags from it.  The
-module builds instances only: it imports ``errors`` and ``model``, none of
-the policy or the solver.
+record of the family's parameters: every call, direct or through
+``generate``, checks its arguments against the annotations (a ``float`` is
+a finite real) and records them in the instance's ``meta``, and the CLI
+derives its ``gen`` flags from it.  Every family range holds whatever the
+``Literal`` choices.  The module builds instances only: it imports
+``errors`` and ``model``, none of the policy or the solver.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import functools
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Literal, get_args, get_origin
 
@@ -52,11 +54,12 @@ GENERATORS: dict = {}
 def _generator(kind: str):
     """Register a ``gen_*`` as ``GENERATORS[kind]``, its signature evaluated once.
 
-    Each call binds the arguments with their defaults and checks each against
-    its annotation: ``seed`` with ``check_seed`` (ValueError), every other
-    ``int`` as a count >= 1, every ``float`` as a real number and every
-    ``Literal`` as one of its choices (BadSpec).  The instance's ``meta`` is
-    the kind, every argument and what the generator adds.
+    Each call names unknown and missing parameters, binds the arguments with
+    their defaults and checks each against its annotation: ``seed`` with
+    ``check_seed`` (ValueError), every other ``int`` as a count >= 1, every
+    ``float`` as a finite real and every ``Literal`` as one of its choices
+    (BadSpec).  The instance's ``meta`` is the kind, every argument and what
+    the generator adds.
     """
 
     def register(gen):
@@ -64,7 +67,12 @@ def _generator(kind: str):
 
         @functools.wraps(gen)
         def checked(*args, **kwargs):
-            bound = sig.bind(*args, **kwargs)
+            unknown = set(kwargs) - set(sig.parameters)
+            _require(not unknown, f"unknown parameters for {kind}: {sorted(unknown)}")
+            bound = sig.bind_partial(*args, **kwargs)
+            missing = [name for name, par in sig.parameters.items()
+                       if par.default is par.empty and name not in bound.arguments]
+            _require(not missing, f"missing parameters for {kind}: {missing}")
             bound.apply_defaults()
             # numpy scalars become Python values, so the recorded meta saves as JSON.
             values = {name: _plain(value) for name, value in bound.arguments.items()}
@@ -89,9 +97,12 @@ def _check_argument(name: str, annotation, value) -> None:
     elif annotation is int:
         _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
                  f"{name} must be an integer >= 1, got {value!r}")
-    else:
-        _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-                 f"{name} must be a real number, got {value!r}")
+    elif not (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max):
+        # Such an int is past float range, and its repr may be past the
+        # 4300 digits that int-to-str conversion allows.
+        got = "an int past float range" if type(value) is int else repr(value)
+        raise BadSpec(f"{name} must be a real number, finite in float range, got {got}")
 
 
 @_generator("routing")
@@ -111,7 +122,7 @@ def gen_routing(
     """
     _require(0.0 < q <= 1.0, f"q must be in (0, 1], got {q}")
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
-    _require(0.0 <= reward_lo <= reward_hi < math.inf, "need 0 <= reward_lo <= reward_hi < inf")
+    _require(0.0 <= reward_lo <= reward_hi, "need 0 <= reward_lo <= reward_hi")
     rng = np.random.default_rng(seed)
     paths = (rng.random((n, m)) < q).astype(np.float64)
     while True:
@@ -140,14 +151,11 @@ def gen_secretary(
     optimal value in a few columns.
     """
     _require(k <= n, f"need k <= n, got k={k}, n={n}")
+    _require(0.0 <= reward_lo <= reward_hi, "need 0 <= reward_lo <= reward_hi")
+    _require(sigma > 0.0, f"sigma must be positive, got {sigma}")
     rng = np.random.default_rng(seed)
-    if reward_dist == "uniform":
-        _require(0.0 <= reward_lo <= reward_hi < math.inf,
-                 "need 0 <= reward_lo <= reward_hi < inf")
-        rewards = rng.uniform(reward_lo, reward_hi, n)
-    else:
-        _require(sigma > 0.0, f"sigma must be positive, got {sigma}")
-        rewards = rng.lognormal(0.0, sigma, n)
+    rewards = (rng.uniform(reward_lo, reward_hi, n) if reward_dist == "uniform"
+               else rng.lognormal(0.0, sigma, n))
     return Instance(m=1, n=n, b=np.array([float(k)]), rewards=rewards, consumption=np.ones((n, 1)))
 
 
@@ -175,12 +183,12 @@ def gen_adwords(
     Returns ``adwords_to_multi(bids, budgets)``: the bids are its rewards, and
     its ``meta`` adds the budgets in bid units and each bidder's row scale.
     """
-    _require(0.0 <= bid_lo <= bid_hi < math.inf, "need 0 <= bid_lo <= bid_hi < inf")
+    _require(0.0 <= bid_lo <= bid_hi, "need 0 <= bid_lo <= bid_hi")
     _require(0.0 < condition_eps < 1.0, f"condition_eps must be in (0, 1), got {condition_eps}")
+    _require(budget > 0.0, f"budget must be positive, got {budget}")
     rng = np.random.default_rng(seed)
     bids = rng.uniform(bid_lo, bid_hi, (n, m))
     if budget_rule == "fraction":
-        _require(budget > 0.0, f"budget fraction must be positive, got {budget}")
         budgets = budget * (n / m) * bids.mean(axis=0)
     else:
         eps = condition_eps
@@ -254,7 +262,7 @@ def gen_yield(
     _require(horizon > 0.0 and rate > 0.0, "need horizon > 0 and rate > 0")
     _require(rate * horizon >= 1.0, f"rate*horizon must be >= 1, got {rate * horizon}")
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
-    _require(0.0 <= price_lo <= price_hi < math.inf, "need 0 <= price_lo <= price_hi < inf")
+    _require(0.0 <= price_lo <= price_hi, "need 0 <= price_lo <= price_hi")
     rng = np.random.default_rng(seed)
     n = int(rng.poisson(rate * horizon))
     while n < 1:
@@ -300,18 +308,10 @@ def gen_parameters(kind: str) -> dict[str, inspect.Parameter]:
 def generate(spec: GenSpec) -> Instance | MultiInstance:
     """Materialize a GenSpec with its kind's generator.
 
-    BadSpec names an unknown kind and any unknown or missing parameter.
+    BadSpec names an unknown kind or a ``seed`` in ``params``; the generator checks the rest.
     """
-    if spec.kind not in GENERATORS:
-        raise BadSpec(f"unknown generator kind {spec.kind!r}")
-    params = gen_parameters(spec.kind)
-    unknown = set(spec.params) - set(params)
-    if unknown:
-        raise BadSpec(f"unknown parameters for {spec.kind}: {sorted(unknown)}")
-    missing = [name for name, par in params.items()
-               if par.default is par.empty and name not in spec.params]
-    if missing:
-        raise BadSpec(f"missing parameters for {spec.kind}: {missing}")
+    _require(spec.kind in GENERATORS, f"unknown generator kind {spec.kind!r}")
+    _require("seed" not in spec.params, f"unknown parameters for {spec.kind}: ['seed']")
     return GENERATORS[spec.kind](seed=spec.seed, **spec.params)
 
 

@@ -91,12 +91,12 @@ def greedy_baseline(inst: Instance | MultiInstance) -> RunResult:
     rewards, consumption = options(inst)
     remaining = inst.b.copy()
     choices = np.full(inst.n, -1, dtype=np.int64)
-    for t, f in enumerate(rewards.tolist()):
-        best, r = -1.0, -1  # rewards are nonnegative: any fitting option beats -1
-        for j in range(len(f)):
-            if f[j] > best and (consumption[t, j] <= remaining).all():
-                best, r = f[j], j
-        if r >= 0:
+    for t in range(inst.n):
+        # Rewards are nonnegative, so -1 marks an option that does not fit,
+        # and argmax takes the lowest index on equal reward.
+        fits = np.where((consumption[t] <= remaining).all(axis=1), rewards[t], -1.0)
+        r = fits.argmax()
+        if fits[r] >= 0.0:
             choices[t] = r
             remaining -= consumption[t, r]
     return RunResult(choices, objective(rewards, choices), inst.b - remaining)

@@ -378,8 +378,6 @@ def solve_boxed_lp(lp: BoxedLp, start: LpSolution | None = None) -> LpSolution:
         both -= both.take(keys[gid], axis=1)
         rc, rise = both
         cand = ((rise > piv_tol) & free).nonzero()[0]
-        if not cand.size:
-            raise fail(InternalError, f"no entering variable repairs row {r}")
         drop, rise = rc[cand], rise[cand]
         drop[drop > -dual_tol] = 0.0  # so rounding does not order degenerate ties
 
@@ -396,7 +394,8 @@ def solve_boxed_lp(lp: BoxedLp, start: LpSolution | None = None) -> LpSolution:
         groups = gid[cand]
         blocked = row_slacks.copy()
         blocked[[t for t, ws in members.items() if len(ws) > 1 or t != v // width]] = True
-        step = _long_step(cand, groups, keys, drop, rise, blocked, k, piv_tol, need)
+        step = (_long_step(cand, groups, keys, drop, rise, blocked, k, piv_tol, need)
+                if cand.size else None)
         if step is None:
             raise fail(InternalError, f"no entering variable repairs row {r}")
         passed, before, q = step

@@ -183,14 +183,10 @@ class Instance:
     def __post_init__(self):
         _validate(self, ())
 
-    def column(self, t: int) -> Column:
-        """Column at position ``t`` (0-based)."""
-        return Column(pi=float(self.rewards[t]), a=self.consumption[t].copy())
-
     def columns(self) -> Iterator[Column]:
-        """Iterate columns in arrival order."""
-        for t in range(self.n):
-            yield self.column(t)
+        """Iterate columns in arrival order, each with its own copy of its row."""
+        for pi, a in zip(self.rewards.tolist(), self.consumption):
+            yield Column(pi=pi, a=a.copy())
 
 
 @dataclass

@@ -166,8 +166,10 @@ UNIFORM_BOUNDS = [
 @pytest.mark.parametrize("kind, params, hi", UNIFORM_BOUNDS, ids=[b[0] for b in UNIFORM_BOUNDS])
 @pytest.mark.parametrize("both", [False, True], ids=["hi", "lo and hi"])
 def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
-    bounds = {hi: math.inf, hi.replace("_hi", "_lo"): math.inf} if both else {hi: math.inf}
-    with pytest.raises(BadSpec, match="< inf"):
+    lo = hi.replace("_hi", "_lo")
+    bounds = {hi: math.inf, lo: math.inf} if both else {hi: math.inf}
+    # The signature lists the lower bound first, so it is the one named.
+    with pytest.raises(BadSpec, match=f"^{lo if both else hi} must be a real number"):
         GENERATORS[kind](**params, **bounds)
 
 
@@ -198,13 +200,41 @@ def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
      "n must be an integer >= 1"),
     (lambda: generate(GenSpec("routing", 0, dict(m=3, n=10, q="0.5", capacity=5.0))), BadSpec,
      "q must be a real number"),
+    (lambda: gen_routing(m=2, n=5, q=0.5, capacity=math.inf), BadSpec,
+     "^capacity must be a real number, finite"),
+    (lambda: gen_yield(horizon=5.0, rate=2.0, capacity=math.inf), BadSpec,
+     "^capacity must be a real number, finite"),
+    (lambda: gen_routing(m=2, n=5, q=0.5, capacity=10**400), BadSpec,
+     "^capacity must be a real number, finite"),
+    (lambda: gen_routing(m=2, n=5, q=0.5, capacity=10**5000), BadSpec,
+     "^capacity must be a real number, finite"),
+    (lambda: gen_yield(horizon=math.inf, rate=2.0), BadSpec,
+     "^horizon must be a real number, finite"),
+    (lambda: gen_secretary(n=5, k=2, reward_dist="heavy_tail", sigma=math.inf), BadSpec,
+     "^sigma must be a real number, finite"),
+    (lambda: gen_adwords(n=5, m=2, budget=math.inf), BadSpec,
+     "^budget must be a real number, finite"),
+    (lambda: gen_secretary(n=5, k=2, sigma=-1.0), BadSpec, "^sigma must be positive"),
+    (lambda: gen_secretary(n=5, k=2, reward_dist="heavy_tail", reward_lo=5.0, reward_hi=1.0),
+     BadSpec, "^need 0 <= reward_lo <= reward_hi"),
+    (lambda: gen_adwords(n=5, m=2, budget_rule="meet", budget=-1.0), BadSpec,
+     "^budget must be positive"),
+    (lambda: gen_routing(m=2, q=0.5, capacity=1.0), BadSpec,
+     "^missing parameters for routing: \\['n'\\]$"),
+    (lambda: gen_routing(m=2, n=3, q=0.5, capacity=1.0, zeal=1), BadSpec,
+     "^unknown parameters for routing: \\['zeal'\\]$"),
 ], ids=["unknown budget_rule", "1-D bid table", "negative bid", "bool shuffle seed",
         "fractional shuffle seed", "negative shuffle seed",
         *(f"{kind} seed {seed!r}" for kind, _, _ in UNIFORM_BOUNDS for seed in (True, 1.5, -1)),
         "bool gen_adwords seed", "fractional secretary k", "bool secretary k",
         "fractional routing m", "zero routing m", "bool routing n", "float adwords m",
         "fractional yield n_products", "bool routing q", "bool routing capacity",
-        "bool yield rate", "string routing n", "string routing q"])
+        "bool yield rate", "string routing n", "string routing q", "infinite routing capacity",
+        "infinite yield capacity", "routing capacity past float range",
+        "routing capacity past the int str limit", "infinite yield horizon",
+        "infinite heavy-tail sigma", "infinite adwords budget", "negative uniform sigma",
+        "reversed heavy-tail reward bounds", "negative meet budget",
+        "direct call missing n", "direct call unknown zeal"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

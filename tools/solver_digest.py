@@ -14,8 +14,10 @@ after.  The digest covers x, dual, stats and basis of
   capacity n/10), adwords m in {3, 10, 20} x n in {400, 1000} and secretary
   n=2000 k=100, seeds 0-2;
 
-and the prices and choices of ``run_dpa`` and ``run_ola`` on each of those
-instances after shuffle 1, at eps 0.05, 0.1 and 0.2.  A solve or run that
+and, on each of those instances after shuffle 1, the prices and choices of
+``run_dpa`` and ``run_ola`` at eps 0.05, 0.1 and 0.2, the choices, objective
+and fill of ``greedy_baseline``, and the x, objective, guard rejections, fill
+and price of ``column_sample_solve(inst, 0.1, seed=1)``.  A solve or run that
 raises ends the script with its traceback instead of a digest.  It takes a few
 seconds.
 """
@@ -28,6 +30,7 @@ import numpy as np
 
 from onlinelp.engine import run_dpa, run_ola, sample_lp
 from onlinelp.generators import GenSpec, generate, shuffle
+from onlinelp.harness import column_sample_solve, greedy_baseline
 from onlinelp.lp import BoxedLp, solve_boxed_lp
 
 
@@ -97,6 +100,12 @@ def main() -> None:
             for policy in (run_dpa, run_ola):
                 run(h, policy, inst, eps)
                 runs += 1
+        greedy = greedy_baseline(inst)
+        feed(h, greedy.choices, np.array([greedy.objective]), greedy.fill)
+        sampled = column_sample_solve(inst, 0.1, seed=1)
+        feed(h, sampled.x, np.array([sampled.objective, sampled.guard_rejections]),
+             sampled.fill, sampled.price.p)
+        runs += 2
     print(f"sha256 {h.hexdigest()} over {lps} LPs and {runs} runs")
 
 
