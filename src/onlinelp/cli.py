@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import astuple, fields, replace
 from functools import partial
 from typing import get_args
 
@@ -23,14 +24,15 @@ from .engine import CONDITION_VARIANTS, check_eps, check_input_condition, option
 from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
 from .harness import (
-    ALGORITHMS, column_sample_solve, competitive_ratio, dispatch, offline_opt, run_grid, usable_cpus,
+    ALGORITHMS, TrialRecord, column_sample_solve, competitive_ratio, dispatch, offline_opt,
+    run_grid, usable_cpus,
 )
 # Unused here: benchmarks/tracer.py wraps ``cli.run_trials`` and fails if the
 # name is gone (ROADMAP item 2 retargets it to ``run_grid``).
 from .harness import run_trials  # noqa: F401
-from .model import MultiInstance, load_instance, real, save_instance
-
-_CSV_HEADER = "algo,eps,trial,seed,objective,opt,ratio,violations,runtime_ms"
+from .model import (
+    DualPrice, MultiInstance, check_count, check_seed, load_instance, real, save_instance,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,26 +43,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _eps_value(text: str) -> float:
+def _flag(parse, rule, text: str):
+    """``text`` parsed by ``parse`` (int or float), then held to the library's ``rule``."""
     try:
-        eps = float(text)
+        value = parse(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        kind = "an integer" if parse is int else "a number"
+        raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from None
     try:
-        check_eps(eps)
+        rule(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return eps
-
-
-def _int_at_least(name: str, low: int, text: str) -> int:
-    """An integer flag value of at least ``low``; bind ``name`` and ``low`` with ``partial``."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {text}")
     return value
 
 
@@ -81,7 +74,7 @@ def _algo_list(text: str) -> list[str]:
 
 
 def _eps_grid(text: str) -> list[float]:
-    return [_eps_value(tok) for tok in _name_list(text)]
+    return [_flag(float, check_eps, tok) for tok in _name_list(text)]
 
 
 def _gen_params() -> dict:
@@ -97,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance file")
     gen.add_argument("--kind", required=True, choices=list(GENERATORS))
-    gen.add_argument("--seed", type=partial(_int_at_least, "seed", 0), default=0)
+    gen.add_argument("--seed", type=partial(_flag, int, partial(check_seed, "seed")), default=0)
     gen.add_argument("-o", "--output", required=True)
     for name, annotation in _gen_params().items():
         choices = get_args(annotation) or None
@@ -107,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", parents=[source], help="replay one instance with one policy")
     run.add_argument("--algo", required=True, choices=ALGORITHMS)
-    run.add_argument("--eps", type=_eps_value, default=0.1)
-    run.add_argument("--shuffle-seed", type=partial(_int_at_least, "shuffle-seed", 0),
-                     default=None,
+    run.add_argument("--eps", type=partial(_flag, float, check_eps), default=0.1)
+    run.add_argument("--shuffle-seed", default=None,
+                     type=partial(_flag, int, partial(check_seed, "shuffle-seed")),
                      help="shuffle the arrival order first with this seed")
     run.add_argument("--decisions-out", default=None,
                      help="also write the 0/1 (or option-index) vector as JSON")
@@ -120,11 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated policy names")
     bench.add_argument("--eps", type=_eps_grid, default=[0.05, 0.1, 0.2],
                        help="comma-separated eps grid")
-    bench.add_argument("--trials", type=partial(_int_at_least, "trials", 1), default=20)
-    bench.add_argument("--base-seed", type=partial(_int_at_least, "base-seed", 0), default=0)
+    bench.add_argument("--trials", type=partial(_flag, int, partial(check_count, "trials")),
+                       default=20)
+    bench.add_argument("--base-seed", type=partial(_flag, int, partial(check_seed, "base-seed")),
+                       default=0)
     bench.add_argument("-o", "--output", default=None,
                        help="CSV path (stdout when omitted)")
-    bench.add_argument("--jobs", type=partial(_int_at_least, "jobs", 1),
+    bench.add_argument("--jobs", type=partial(_flag, int, partial(check_count, "jobs")),
                        default=usable_cpus(),
                        help="worker processes shared by the whole (algo, eps, trial) grid")
     bench.add_argument("--timings", action="store_true",
@@ -133,14 +128,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     slp = sub.add_parser("sample-lp", parents=[source],
                          help="approximate a large LP by column sampling")
-    slp.add_argument("--eps", type=_eps_value, required=True)
-    slp.add_argument("--seed", type=partial(_int_at_least, "seed", 0), default=0)
+    slp.add_argument("--eps", type=partial(_flag, float, check_eps), required=True)
+    slp.add_argument("--seed", type=partial(_flag, int, partial(check_seed, "seed")), default=0)
     slp.add_argument("-o", "--output", default=None,
                      help="write the solution vector and report as JSON")
     slp.set_defaults(func=cmd_sample_lp)
 
     check = sub.add_parser("check", parents=[source], help="capacity-size conditions (advisory)")
-    check.add_argument("--eps", type=_eps_value, required=True)
+    check.add_argument("--eps", type=partial(_flag, float, check_eps), required=True)
     check.add_argument("--variant", default="all", choices=[*CONDITION_VARIANTS, "all"])
     check.set_defaults(func=cmd_check)
 
@@ -168,8 +163,10 @@ def _print_fill(fill, b) -> None:
 
 
 def _write_json(path, payload: dict) -> None:
+    # numpy arrays and scalars go through ``tolist``, a DualPrice as its vector.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(payload, fh,
+                  default=lambda v: v.p if isinstance(v, DualPrice) else v.tolist())
         fh.write("\n")
 
 
@@ -207,8 +204,7 @@ def cmd_run(args) -> int:
         print(f"price learned at t={ell}: [{vals}]")
     if args.decisions_out is not None:
         key = "choices" if isinstance(inst, MultiInstance) else "decisions"
-        _write_json(args.decisions_out,
-                    {key: getattr(result, key).tolist(), "objective": result.objective})
+        _write_json(args.decisions_out, {key: getattr(result, key), "objective": result.objective})
     return 0
 
 
@@ -219,15 +215,13 @@ def cmd_bench(args) -> int:
     with (nullcontext(sys.stdout) if args.output is None
           else open(args.output, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER.split(","))
+        writer.writerow(["algo", "eps", *(f.name for f in fields(TrialRecord))])
         for stats in grid:
             for rec in stats.records:
-                writer.writerow([
-                    stats.algo, real(stats.eps), rec.trial, rec.seed,
-                    real(rec.objective), real(rec.opt), real(rec.ratio),
-                    rec.violations,
-                    real(rec.runtime_ms) if args.timings else "0",
-                ])
+                if not args.timings:
+                    rec = replace(rec, runtime_ms=0.0)
+                writer.writerow([stats.algo, real(stats.eps), *(
+                    real(v) if isinstance(v, float) else v for v in astuple(rec))])
     if args.output is not None:
         for stats in grid:
             print(f"{stats.algo} eps={stats.eps:g}: mean ratio {stats.mean_ratio:.4f} "
@@ -246,16 +240,7 @@ def cmd_sample_lp(args) -> int:
     vals = " ".join(f"{v:.6g}" for v in res.price.p)
     print(f"sampled price: [{vals}]")
     if args.output is not None:
-        _write_json(args.output, {
-            "eps": args.eps,
-            "seed": args.seed,
-            "objective": res.objective,
-            "x": res.x.tolist(),
-            "fill": [float(v) for v in res.fill],
-            "guard_rejections": res.guard_rejections,
-            "price": [float(v) for v in res.price.p],
-            "sample_indices": [int(v) for v in res.sample_indices],
-        })
+        _write_json(args.output, {"eps": args.eps, "seed": args.seed, **vars(res)})
     return 0
 
 

@@ -56,10 +56,10 @@ def _generator(kind: str):
 
     Each call names unknown and missing parameters, binds the arguments with
     their defaults and checks each against its annotation: ``seed`` with
-    ``check_seed`` (ValueError), every other ``int`` as a count >= 1, every
-    ``float`` as a finite real and every ``Literal`` as one of its choices
-    (BadSpec).  The instance's ``meta`` is the kind, every argument and what
-    the generator adds.
+    ``check_seed`` (ValueError), every other ``int`` as a count from 1 to
+    ``sys.maxsize``, every ``float`` as a finite real and every ``Literal``
+    as one of its choices (BadSpec).  The instance's ``meta`` is the kind,
+    every argument and what the generator adds.
     """
 
     def register(gen):
@@ -95,8 +95,12 @@ def _check_argument(name: str, annotation, value) -> None:
     elif get_origin(annotation) is Literal:
         _require(value in get_args(annotation), f"unknown {name} {value!r}")
     elif annotation is int:
-        _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-                 f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) or not 1 <= value <= sys.maxsize:
+            # sys.maxsize is numpy's largest dimension; a larger count's repr
+            # may be past the 4300 digits that int-to-str conversion allows.
+            big = isinstance(value, int) and value > sys.maxsize
+            got = "an int past sys.maxsize, numpy's largest dimension" if big else repr(value)
+            raise BadSpec(f"{name} must be an integer >= 1, got {got}")
     elif not (isinstance(value, (int, float)) and not isinstance(value, bool)
               and abs(value) <= sys.float_info.max):
         # Such an int is past float range, and its repr may be past the
@@ -156,6 +160,8 @@ def gen_secretary(
     rng = np.random.default_rng(seed)
     rewards = (rng.uniform(reward_lo, reward_hi, n) if reward_dist == "uniform"
                else rng.lognormal(0.0, sigma, n))
+    _require(np.isfinite(rewards).all(),
+             f"sigma = {sigma} draws rewards past float range; lower sigma")
     return Instance(m=1, n=n, b=np.array([float(k)]), rewards=rewards, consumption=np.ones((n, 1)))
 
 
@@ -264,7 +270,11 @@ def gen_yield(
     _require(capacity > 0.0, f"capacity must be positive, got {capacity}")
     _require(0.0 <= price_lo <= price_hi, "need 0 <= price_lo <= price_hi")
     rng = np.random.default_rng(seed)
-    n = int(rng.poisson(rate * horizon))
+    try:
+        n = int(rng.poisson(rate * horizon))
+    except ValueError:  # numpy refuses a mean past its largest draw
+        raise BadSpec(f"rate*horizon = {rate * horizon} is past numpy's Poisson range; "
+                      "lower rate or horizon") from None
     while n < 1:
         n = int(rng.poisson(rate * horizon))
     usage = rng.uniform(0.0, 1.0, (n_products, n_resources))

@@ -99,6 +99,7 @@ either instance kind with ``dataclasses.replace``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -630,8 +631,8 @@ def perturb_rewards(
     rewards = inst.rewards
     if eta is None:
         eta = 1e-9 * (float(rewards.max()) if rewards.size else 0.0)
-    if isinstance(eta, (bool, np.bool_)):
-        raise ValueError(f"eta must be a number, not a bool, got {eta!r}")
+    if isinstance(eta, bool) or not isinstance(eta, numbers.Real):  # np.bool_ is no Real either
+        raise ValueError(f"eta must be a number, not a {type(eta).__name__}, got {eta!r}")
     if not 0.0 <= eta < np.inf:  # NaN fails it too
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     rewards = rewards + np.random.default_rng(seed).uniform(0.0, eta, size=rewards.shape)

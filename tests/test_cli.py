@@ -1,6 +1,7 @@
 """End-to-end command tests driven through cli.main (no subprocesses except
 one __main__ smoke check) — exit codes, formats, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -331,6 +332,13 @@ class TestSampleLp:
         assert len(payload["sample_indices"]) == 30
         assert payload["guard_rejections"] >= 0
 
+    def test_report_keys_follow_the_result_record(self, routing_file, tmp_path):
+        dest = tmp_path / "slp.json"
+        assert main(["sample-lp", "-i", str(routing_file), "--eps", "0.2",
+                     "-o", str(dest)]) == 0
+        fields = [f.name for f in dataclasses.fields(harness.ColumnSampleResult)]
+        assert list(json.loads(dest.read_text())) == ["eps", "seed", *fields]
+
     def test_multi_instance_gives_onehot_rows(self, adwords_file, tmp_path):
         dest = tmp_path / "slp.json"
         assert main(["sample-lp", "-i", str(adwords_file), "--eps", "0.2",
@@ -388,12 +396,14 @@ class TestUsageErrors:
         for jobs in ("0", "-1"):
             assert main(["bench", "-i", str(secretary_file), "--trials", "1",
                          "--jobs", jobs]) == 2
-            assert "jobs must be >= 1" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"argument --jobs: jobs must be an integer >= 1, got {jobs}" in err
 
     def test_trials_below_one(self, secretary_file, capsys):
         for trials in ("0", "-1"):
             assert main(["bench", "-i", str(secretary_file), "--trials", trials]) == 2
-            assert "trials must be >= 1" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert f"argument --trials: trials must be an integer >= 1, got {trials}" in err
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--kind", "secretary", "--n", "10", "--k", "2", "-o", "x.json", "--seed", "-1"],
@@ -404,7 +414,8 @@ class TestUsageErrors:
     def test_negative_seed_is_usage_error(self, argv, capsys):
         flag = argv[-2]
         assert main(argv) == 2
-        assert f"argument {flag}: {flag[2:]} must be >= 0, got -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {flag[2:]} must be an integer >= 0, got -1" in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -223,6 +223,12 @@ def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
      "^missing parameters for routing: \\['n'\\]$"),
     (lambda: gen_routing(m=2, n=3, q=0.5, capacity=1.0, zeal=1), BadSpec,
      "^unknown parameters for routing: \\['zeal'\\]$"),
+    *[(lambda big=big: gen_yield(horizon=big, rate=big), BadSpec,
+       "^rate\\*horizon = .* lower rate or horizon$") for big in (1e10, 1e200)],
+    (lambda: gen_secretary(n=5, k=2, reward_dist="heavy_tail", sigma=1e300), BadSpec, "^sigma = "),
+    (lambda: gen_secretary(n=50, k=2, reward_dist="heavy_tail", sigma=800.0), BadSpec, "^sigma = "),
+    *[(lambda n=n: gen_routing(m=2, n=n, q=0.5, capacity=1.0), BadSpec,
+       "^n must be an integer >= 1") for n in (10**5000, 2**63)],
 ], ids=["unknown budget_rule", "1-D bid table", "negative bid", "bool shuffle seed",
         "fractional shuffle seed", "negative shuffle seed",
         *(f"{kind} seed {seed!r}" for kind, _, _ in UNIFORM_BOUNDS for seed in (True, 1.5, -1)),
@@ -234,7 +240,9 @@ def test_infinite_uniform_bound_is_bad_spec(kind, params, hi, both):
         "routing capacity past the int str limit", "infinite yield horizon",
         "infinite heavy-tail sigma", "infinite adwords budget", "negative uniform sigma",
         "reversed heavy-tail reward bounds", "negative meet budget",
-        "direct call missing n", "direct call unknown zeal"])
+        "direct call missing n", "direct call unknown zeal", "yield rate*horizon 1e20",
+        "infinite yield rate*horizon", "heavy-tail sigma 1e300", "heavy-tail sigma 800",
+        "routing n past the int str limit", "routing n past sys.maxsize"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

@@ -233,11 +233,14 @@ def _one_column() -> Instance:
     (lambda: perturb_rewards(_one_column(), eta=np.nan), ValueError, "eta must be finite"),
     (lambda: perturb_rewards(_one_column(), eta=np.inf), ValueError, "eta must be finite"),
     (lambda: perturb_rewards(_one_column(), eta=True), ValueError, "eta must be a number, not"),
+    (lambda: perturb_rewards(_one_column(), eta="1e-9"), ValueError, "eta must be a number, not"),
+    (lambda: perturb_rewards(_one_column(), eta=np.array([1e-9, 2e-9])), ValueError,
+     "eta must be a number, not"),
     (lambda: perturb_rewards(_one_column(), seed=True), ValueError, "seed must be an integer >= 0"),
     (lambda: perturb_rewards(_one_column(), seed=1.5), ValueError, "seed must be an integer >= 0"),
     (lambda: perturb_rewards(_one_column(), seed=-1), ValueError, "seed must be an integer >= 0"),
 ], ids=["one-dimensional A", "empty A", "negative eta", "nan eta", "infinite eta", "bool eta",
-        "bool seed", "fractional seed", "negative seed"])
+        "string eta", "array eta", "bool seed", "fractional seed", "negative seed"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()
