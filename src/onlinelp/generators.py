@@ -58,8 +58,10 @@ def _generator(kind: str):
     their defaults and checks each against its annotation: ``seed`` with
     ``check_seed`` (ValueError), every other ``int`` as a count from 1 to
     ``sys.maxsize``, every ``float`` as a finite real and every ``Literal``
-    as one of its choices (BadSpec).  The instance's ``meta`` is the kind,
-    every argument and what the generator adds.
+    as one of its choices (BadSpec).  A count within the rule whose array
+    numpy cannot address ends in numpy's ValueError, and one whose array
+    numpy cannot allocate in MemoryError.  The instance's ``meta`` is the
+    kind, every argument and what the generator adds.
     """
 
     def register(gen):

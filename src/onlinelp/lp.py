@@ -470,43 +470,37 @@ def _long_step(cand, groups, keys, drop, rise, blocked, k, tol, need):
     ``rise`` > 0) in group ``groups[j]``, whose key ``keys[groups[j]]`` has
     the line 0; ``cand`` is ascending, so each group's candidates are
     adjacent and in tie order.  The breakpoints are those of each group's
-    upper envelope.  At k = 1 a group has one line beside its key, so every
-    crossing is one.  Otherwise, round by round, each group's next envelope
-    line is the one that crosses its current line first (the steepest on
-    ties, then the earliest); a group has at most k lines beside its key,
-    and a blocked group stops after its first.  Each envelope line is at
-    least as steep as the one before, so the step over the first round
-    alone ends no earlier than the full step: later rounds look only at
-    lines that cross before that point.  ``_passing_order`` sorts the
-    breakpoints and finds where the step ends.
+    upper envelope, kept in one record of lines: variable, line replaced,
+    crossing point, gain, blocked.  At k = 1 every candidate is a
+    breakpoint.  Otherwise, round by round, each group's next envelope line
+    is the one that crosses its current line first (the steepest on ties,
+    then the earliest); a blocked group stops after its first.  Each
+    envelope line is at least as steep as the one before, so later rounds
+    look only at lines that cross before the first round's step ends.
 
     Returns the passed variables, the lines they replace and the variable
     that enters, or None when no breakpoint ends the step.
     """
-    cross = -drop / rise
-    late = blocked[groups]
-    if k == 1:  # the only blocked lines, row slacks, come last among ties already
-        lines = cand, None, cross, rise, late
-        order, p = _passing_order(cross, rise, late, need, blocked_last=True)
-    else:
+    cross, late = -drop / rise, blocked[groups]
+    lines = cand, keys[groups], cross, rise, late
+    if k > 1:
         at, run = _first_crossings(groups, cross, rise)
-        lines = cand[at], keys[groups[at]], cross[at], rise[at], late[at]
-        order, p = _passing_order(*lines[2:], need)
-        # Later rounds: lines of unblocked groups, steeper than their group's
-        # first line, that cross their key before the first round's step ends.
-        if at.size < cand.size:  # some group has more than one line
-            bound = lines[2][order[p]] if p < order.size else np.inf
-            live = ~late & (rise > lines[3][run] + tol) & (cross <= bound)
-            if live.any():
-                lines = _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k,
-                                      tol, bound)
-                order, p = _passing_order(*lines[2:], need)
+        lines = tuple(part[at] for part in lines)
+    order, p = _passing_order(*lines[2:], need)
+    # Later rounds: lines of unblocked groups, steeper than their group's
+    # first line, that cross their key before the first round's step ends.
+    if k > 1 and at.size < cand.size:  # some group has more than one line
+        bound = lines[2][order[p]] if p < order.size else np.inf
+        live = ~late & (rise > lines[3][run] + tol) & (cross <= bound)
+        if live.any():
+            lines = _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k,
+                                  tol, bound)
+            order, p = _passing_order(*lines[2:], need)
     if p == order.size:
         return None
     head = order[:p + 1]
     var = lines[0][head]
-    before = keys[groups[head[:p]]] if lines[1] is None else lines[1][head[:p]]
-    return var[:p], before, int(var[p])
+    return var[:p], lines[1][head[:p]], int(var[p])
 
 
 def _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k, tol, bound):
@@ -540,20 +534,15 @@ def _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k, tol, bo
     return tuple(np.concatenate(part) for part in zip(*found))
 
 
-def _passing_order(cross, gain, late, need, blocked_last=False):
+def _passing_order(cross, gain, late, need):
     """The breakpoints' passing order and the position in it of the one that ends the step.
 
     The order is by crossing point, the blocked (``late``) last on ties,
-    then as given (``blocked_last`` says they are last as given already).
-    The step ends at the first breakpoint whose cumulative gain reaches
-    ``need``, or at the first blocked one; the position is the number of
-    breakpoints when neither comes.
+    then as given.  The step ends at the first breakpoint whose cumulative
+    gain reaches ``need``, or at the first blocked one; the position is the
+    number of breakpoints when neither comes.
     """
-    if blocked_last:
-        order = cross.argsort(kind="stable")
-    else:
-        order = np.concatenate([(~late).nonzero()[0], late.nonzero()[0]])
-        order = order[cross[order].argsort(kind="stable")]
+    order = np.lexsort((late, cross))
     p = int(gain[order].cumsum().searchsorted(need))
     hit = late[order]
     first = int(hit.argmax())

@@ -454,10 +454,15 @@ def test_overflowing_rewards_are_a_data_error_under_warnings_as_errors(tmp_path)
 
 
 def test_unallocatable_size_is_a_data_error(tmp_path, capsys):
-    """numpy refuses a 711 PiB array outright (MemoryError) before touching any memory."""
+    """numpy refuses the array before touching any memory.
+
+    A 711 PiB array is a MemoryError; a count within the rule that numpy
+    cannot address is its ValueError "array is too big".
+    """
     out = tmp_path / "big.json"
-    assert main(["gen", "--kind", "routing", "--n", str(10 ** 11), "--m", str(10 ** 6),
-                 "--q", "0.5", "--capacity", "5", "-o", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("onlinelp: error: ") and err.count("\n") == 1
-    assert not out.exists()
+    for n, m in [(10 ** 11, 10 ** 6), (sys.maxsize, 2)]:
+        assert main(["gen", "--kind", "routing", "--n", str(n), "--m", str(m),
+                     "--q", "0.5", "--capacity", "5", "-o", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("onlinelp: error: ") and err.count("\n") == 1, err
+        assert not out.exists()

@@ -287,6 +287,40 @@ def test_one_long_step_solves_the_secretary_lp():
     assert solve_boxed_lp(sample_lp(inst)).stats.iterations <= 3
 
 
+F, T = False, True
+
+
+@pytest.mark.parametrize("cross, late, gain, need, order, end", [
+    # k = 1: the only blocked breakpoints, row slacks, come last by index.
+    ([.5, 0., .5, 0., .5, .5], [F, F, F, F, T, T], [1] * 6, 2.5, [1, 3, 0, 2, 4, 5], 2),
+    ([.5, 0., .5, 0., .5, .5], [F, F, F, F, T, T], [1] * 6, 2.0, [1, 3, 0, 2, 4, 5], 1),
+    ([.5, 0., .5, 0., .5, .5], [F, F, F, F, T, T], [1] * 6, 10., [1, 3, 0, 2, 4, 5], 4),
+    ([.5, 0., .5, 0., .5, .5], [F] * 6, [1] * 6, 10., [1, 3, 0, 2, 4, 5], 6),
+    # k > 1: blocked and unblocked breakpoints interleave by index.
+    ([.5, .5, 0., .5, 0., .5, .2], [T, F, T, F, F, T, F], [1] * 7, 0.5,
+     [4, 2, 6, 1, 3, 0, 5], 0),
+    ([.5, .5, 0., .5, 0., .5, .2], [T, F, T, F, F, T, F], [1] * 7, 3.0,
+     [4, 2, 6, 1, 3, 0, 5], 1),
+    ([.3, .1, .3, .1, .2], [T, F, F, F, F], [1, 2, 1, 1, 3], 5.0, [1, 3, 4, 2, 0], 2),
+    ([.3, .1, .3, .1, .2], [T, F, F, F, F], [1, 2, 1, 1, 3], 7.5, [1, 3, 4, 2, 0], 4),
+    ([.3, .1, .3, .1, .2], [T, F, F, F, F], [1, 2, 1, 1, 3], 100., [1, 3, 4, 2, 0], 4),
+    ([.3, .1, .3, .1, .2], [F] * 5, [1, 2, 1, 1, 3], 100., [1, 3, 4, 0, 2], 5),
+], ids=["k1-gain", "k1-gain-exact", "k1-blocked", "k1-neither", "kn-gain", "kn-blocked",
+       "kn-gain-late", "kn-gain-at-blocked", "kn-blocked-late", "kn-neither"])
+def test_breakpoints_pass_in_one_order(cross, late, gain, need, order, end):
+    """By crossing point, then unblocked before blocked, then index.
+
+    The step ends at the first blocked breakpoint or where the cumulative gain
+    reaches ``need``, whichever comes first, and at the number of breakpoints
+    when neither comes.
+    """
+    cross, late, gain = np.array(cross), np.array(late), np.array(gain, dtype=float)
+    assert order == sorted(range(cross.size), key=lambda i: (cross[i], late[i], i))
+    got, p = lp_module._passing_order(cross, gain, late, need)
+    assert got.tolist() == order
+    assert p == end
+
+
 def test_pivot_count_bounded_on_offline_adwords():
     """At most 200 basis exchanges on 800 groups of three (flips count apart)."""
     inst = generate(GenSpec("adwords", 0, dict(n=800, m=3)))
