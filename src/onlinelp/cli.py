@@ -20,7 +20,7 @@ from dataclasses import astuple, fields, replace
 from functools import partial
 from typing import get_args
 
-from .engine import CONDITION_VARIANTS, check_eps, check_input_condition, options
+from .engine import CONDITION_VARIANTS, check_eps, check_input_condition
 from .errors import InternalError, NonpositiveReward, OnlineLpError
 from .generators import GENERATORS, GenSpec, gen_parameters, generate, shuffle
 from .harness import (
@@ -178,12 +178,12 @@ def cmd_gen(args) -> int:
     }
     inst = generate(GenSpec(kind=args.kind, seed=args.seed, params=params))
     save_instance(inst, args.output)
-    bmin = float(inst.b.min())
     shape = f"m={inst.m} n={inst.n}"
     if isinstance(inst, MultiInstance):
         shape += f" k={inst.k}"
-    print(f"wrote {args.output}: kind={args.kind} {shape} B={bmin:.6g}")
-    print("abar per row: " + " ".join(f"{v:.6g}" for v in options(inst)[1].max(axis=(0, 1))))
+    print(f"wrote {args.output}: kind={args.kind} {shape} B={inst.b.min():.6g}")
+    abar = inst.consumption.reshape(inst.n, inst.m, -1).max(axis=(0, 2))
+    print("abar per row: " + " ".join(f"{v:.6g}" for v in abar))
     return 0
 
 

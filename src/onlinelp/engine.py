@@ -31,10 +31,10 @@ keeps a stream's arrivals in an ``Instance``; both learn through
 ``learn_price`` from the same chain of solutions, so folding ``step`` over
 an instance's columns reproduces the batch runs exactly, prices included.
 ``packing_lp`` builds every LP the package solves (prefix, offline and
-sampled), and ``sample_lp`` is its prefix/offline front end.  All of them
-read the k-option view of ``options``, in which a scalar instance is a
-multi-choice one with k = 1, so every policy takes either instance kind
-and returns a ``RunResult`` with the option each arrival took.
+sampled) from an instance's stored rows; ``sample_lp`` is its front end.
+The walks decide on the k-option view of ``options``, in which a scalar
+instance is a multi-choice one with k = 1, so every policy takes either
+instance kind and returns a ``RunResult`` with the option each arrival took.
 ``allocation_rule`` and ``multi_allocation_rule`` apply ``choose`` to one
 ``Column`` or ``MultiColumn``.
 """
@@ -169,29 +169,28 @@ def learn_until(t: int, points, prices_used: list, solves: list, learn, inst):
 
 
 def options(inst) -> tuple[np.ndarray, np.ndarray]:
-    """The k-option view: rewards (n, k) and consumption (n, k, m).
+    """The k-option view the walks decide on: rewards (n, k), consumption (n, k, m).
 
-    The contiguous row ``consumption[t, j]`` is option j of arrival t.  Scalar
-    instances give zero-copy views with k = 1, multi-choice ones a copy.
+    The contiguous row ``consumption[t, j]`` is option j of arrival t.  Only
+    k > 1 makes a copy; scalar and k = 1 instances give zero-copy views.
     """
-    if inst.rewards.ndim == 1:
-        return inst.rewards[:, None], inst.consumption[:, None, :]
-    return inst.rewards, np.ascontiguousarray(inst.consumption.transpose(0, 2, 1))
+    return (inst.rewards.reshape(inst.n, -1),
+            np.ascontiguousarray(inst.consumption.reshape(inst.n, inst.m, -1).transpose(0, 2, 1)))
 
 
 def packing_lp(rewards, consumption, b, n: int, shrink: float) -> BoxedLp:
     """The LP over the given arrivals with capacities (1-shrink)*(ell/n)*b.
 
-    ``rewards`` (ell, k) and ``consumption`` (ell, k, m) are arrivals in the
-    k-option view.  The LP has one variable per (arrival, option) pair, at
-    position t*k + j, and the m resource rows; each arrival's k options form
-    one pick-at-most-one group, which the solver handles implicitly, so a
-    scalar instance's LP is its k = 1 embedding.
+    ``rewards`` and ``consumption`` are stored rows: (ell,) and (ell, m) of a
+    scalar instance, (ell, k) and (ell, m, k) of a multi-choice one.  The LP
+    has one variable per (arrival, option) pair, at position t*k + j, and the
+    m resource rows, copied t-major once; each arrival's k options form one
+    implicit pick-at-most-one group, so a scalar LP is its k = 1 embedding.
     """
-    ell, k, m = consumption.shape
+    ell, m = consumption.shape[:2]
     d = (1.0 - shrink) * (ell / n) * b
-    A = np.ascontiguousarray(consumption.reshape(ell * k, m).T)
-    return BoxedLp(c=rewards.reshape(-1), A=A, d=d, k=k)
+    A = np.ascontiguousarray(consumption.reshape(ell, m, -1).transpose(1, 0, 2)).reshape(m, -1)
+    return BoxedLp(c=rewards.reshape(-1), A=A, d=d, k=A.shape[1] // ell)
 
 
 def choose(p, f, cols) -> int:
@@ -342,8 +341,7 @@ def sample_lp(
         raise ValueError(f"ell must be in [1, n], got ell={ell}, n={inst.n}")
     if not 0.0 <= shrink < 1.0:
         raise ValueError(f"shrink must be in [0, 1), got {shrink}")
-    rewards, consumption = options(inst)
-    return packing_lp(rewards[:ell], consumption[:ell], inst.b, inst.n, shrink)
+    return packing_lp(inst.rewards[:ell], inst.consumption[:ell], inst.b, inst.n, shrink)
 
 
 def learn_price(
@@ -486,7 +484,7 @@ def check_input_condition(
         lam = math.log(max(math.log(ratio), 1.0))
         rhs = 20.0 * (m * lam + m * m * math.log(1.0 / eps)) / eps**2
     elif variant == "per_row":
-        abar = options(inst)[1].max(axis=(0, 1))
+        abar = inst.consumption.reshape(n, m, -1).max(axis=(0, 2))
         lhs = float(np.divide(inst.b, abar, out=np.full(m, np.inf), where=abar > 0.0).min())
         # The option count folds into the log term; it is pinned at 1 here.
         rhs = 20.0 * m * math.log(n / eps) / eps**2

@@ -277,13 +277,14 @@ def column_sample_solve(
     has the shape of ``inst.rewards``: 0/1 per column, or one one-hot row per
     multi-choice arrival.  ``guard_rejections`` counts columns the rule
     accepted but the guard blocked.  ``seed``, an integer >= 0, draws the sample.
+    On plain adwords it often earns 0: each price is its bidder's top bid, so each surplus is 0.
     """
     check_seed("seed", seed)
     rng = np.random.default_rng(seed)
     idx = rng.choice(inst.n, size=sample_size(inst.n, eps), replace=False)
-    rewards, consumption = options(inst)
-    lp = packing_lp(rewards[idx], consumption[idx], inst.b, inst.n, eps)
+    lp = packing_lp(inst.rewards[idx], inst.consumption[idx], inst.b, inst.n, eps)
     price = DualPrice(solve_boxed_lp(lp).dual)
+    rewards, consumption = options(inst)
     remaining = inst.b.copy()
     choices = np.full(inst.n, -1, dtype=np.int64)
     blocked = decide(price.p, rewards, consumption, 0, inst.n, remaining, choices)

@@ -68,6 +68,12 @@ class TestGen:
         assert "m=1 n=100" in out and "B=5" in out
         assert "abar per row: 1" in out
 
+    def test_summary_lists_abar_of_every_option(self, tmp_path, capsys):
+        code = main(["gen", "--kind", "adwords", "--n", "50", "--m", "3",
+                     "-o", str(tmp_path / "inst.json")])
+        assert code == 0
+        assert "abar per row: 1 1 1\n" in capsys.readouterr().out
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         flags = ["gen", "--kind", "routing", "--m", "2", "--n", "50",

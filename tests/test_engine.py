@@ -12,6 +12,7 @@ from onlinelp import (
     GenSpec,
     Instance,
     MultiColumn,
+    MultiInstance,
     NonpositiveReward,
     OnlineState,
     StreamExhausted,
@@ -648,6 +649,15 @@ class TestCheckInputCondition:
         rep = check_input_condition(inst, 0.2, "per_row")
         abar0 = inst.consumption[:, 0].max()
         assert rep.lhs == pytest.approx(inst.b[0] / abar0)
+
+    def test_per_row_reads_every_option_of_a_multi_choice_instance(self):
+        consumption = np.full((4, 2, 3), 0.1)
+        consumption[2, 0, 2] = 0.5  # row 0's largest entry: option 2 of a later arrival
+        consumption[1, 1, 0] = 0.25  # row 1's largest entry
+        inst = MultiInstance(m=2, n=4, k=3, b=np.array([1.0, 3.0]),
+                             rewards=np.ones((4, 3)), consumption=consumption)
+        # b / abar = (2, 12): row 0 is the worst
+        assert check_input_condition(inst, 0.2, "per_row").lhs == 2.0
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):

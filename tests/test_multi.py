@@ -22,6 +22,7 @@ from onlinelp import (
     shuffle,
     solve_boxed_lp,
 )
+from onlinelp.engine import options, packing_lp
 from onlinelp.multi import learn_price_multi
 
 
@@ -83,18 +84,40 @@ class TestFlatten:
         assert lp.A.shape == (inst.m, inst.n)
         assert lp.k == 1
 
-    def test_k3_groups_options_per_arrival(self):
-        inst = random_multi(1, n=12, k=3)
-        lp = sample_lp(inst)
-        # only the resource rows: each arrival's options form one implicit group
-        assert lp.A.shape == (inst.m, 12 * 3)
-        assert lp.k == 3
-        # the consumption tensor laid out t-major
+    @pytest.mark.parametrize("kind", ["scalar", "k1", "k3"])
+    def test_groups_options_per_arrival(self, kind):
+        inst = {
+            "scalar": generate(GenSpec("routing", 1, dict(m=2, n=12, q=0.5, capacity=3.0))),
+            "k1": random_multi(1, n=12, k=1),
+            "k3": random_multi(1, n=12, k=3),
+        }[kind]
+        k = 3 if kind == "k3" else 1
+        idx = np.array([7, 2, 11, 0])
+        lps = [
+            (sample_lp(inst), np.arange(12)),
+            (sample_lp(inst, 5, 0.2), np.arange(5)),
+            (packing_lp(inst.rewards[idx], inst.consumption[idx], inst.b, inst.n, 0.1), idx),
+        ]
+        for lp, rows in lps:
+            # only the resource rows: each arrival's options form one implicit group
+            assert lp.A.shape == (inst.m, rows.size * k)
+            assert lp.k == k
+            assert lp.A.flags.c_contiguous
+            # the stored rows laid out t-major
+            stored = inst.consumption[rows].reshape(rows.size, inst.m, k)
+            np.testing.assert_array_equal(lp.A, np.transpose(stored, (1, 0, 2)).reshape(inst.m, -1))
+            np.testing.assert_array_equal(lp.c, inst.rewards[rows].reshape(-1))
+        np.testing.assert_array_equal(lps[0][0].d, inst.b)
+        # the walks' k-option view: rewards are always a view, consumption a
+        # zero-copy view at k = 1 and a copy at k = 3
+        rewards, consumption = options(inst)
+        assert consumption.shape == (inst.n, k, inst.m)
+        assert consumption.flags.c_contiguous
+        assert np.shares_memory(rewards, inst.rewards)
+        assert np.shares_memory(consumption, inst.consumption) == (k == 1)
         np.testing.assert_array_equal(
-            lp.A, np.transpose(inst.consumption, (1, 0, 2)).reshape(inst.m, -1)
+            consumption, inst.consumption.reshape(inst.n, inst.m, k).transpose(0, 2, 1)
         )
-        np.testing.assert_array_equal(lp.c, inst.rewards.reshape(-1))
-        np.testing.assert_array_equal(lp.d, inst.b)
 
     def test_prefix_rhs_shrinks(self):
         inst = random_multi(2, n=20, k=2)
