@@ -142,21 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_conditions(inst, eps: float, variants) -> None:
-    """One line per variant; among several, the corollary reads n/a on nonpositive rewards."""
-    for variant in variants:
-        try:
-            rep = check_input_condition(inst, eps, variant)
-        except NonpositiveReward:
-            if len(variants) == 1:
-                raise
-            print("condition corollary: n/a (needs strictly positive rewards)")
-            continue
-        verdict = "satisfied" if rep.satisfied else "NOT satisfied"
-        print(f"condition {rep.variant} at eps={eps:g}: {verdict} "
-              f"(have {rep.lhs:.6g}, need >= {rep.rhs:.6g})")
-
-
 def _print_fill(fill, b) -> None:
     for i, (used, cap) in enumerate(zip(fill, b)):
         print(f"fill[{i}] = {used:.6g} of {cap:.6g}")
@@ -247,7 +232,18 @@ def cmd_sample_lp(args) -> int:
 def cmd_check(args) -> int:
     inst = load_instance(args.input)
     variants = CONDITION_VARIANTS if args.variant == "all" else (args.variant,)
-    _print_conditions(inst, args.eps, variants)
+    for variant in variants:
+        try:
+            rep = check_input_condition(inst, args.eps, variant)
+        except NonpositiveReward:
+            # Among several variants the corollary reads n/a on nonpositive rewards.
+            if len(variants) == 1:
+                raise
+            print("condition corollary: n/a (needs strictly positive rewards)")
+            continue
+        verdict = "satisfied" if rep.satisfied else "NOT satisfied"
+        print(f"condition {rep.variant} at eps={args.eps:g}: {verdict} "
+              f"(have {rep.lhs:.6g}, need >= {rep.rhs:.6g})")
     return 0
 
 

@@ -160,8 +160,9 @@ class BoxedLp:
         for name, arr in (("c", c), ("A", A), ("d", d)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        with np.errstate(over="ignore"):
-            if not (np.isfinite(np.abs(c).sum()) and np.isfinite(np.abs(A).sum(axis=1)).all()):
+        with np.errstate(over="ignore"):  # a nonnegative A is summed as it is, not copied
+            rows = (A if A.min() >= 0.0 else np.abs(A)).sum(axis=1)
+            if not (np.isfinite(np.abs(c).sum()) and np.isfinite(rows).all()):
                 raise ValueError("c or a row of A overflows when summed; rescale the data")
         if d.min() < 0.0:
             raise ValueError("capacities d must be nonnegative")
@@ -271,7 +272,7 @@ def solve_boxed_lp(lp: BoxedLp, start: LpSolution | None = None) -> LpSolution:
     row_tol = _PRIMAL_TOL * dscale  # a row slack's primal tolerance; 1 is every other's scale
 
     cap = _ITERATIONS_PER_VARIABLE * (m + s)
-    piv_tol = _PIVOT_TOL * max(1.0, float(np.abs(lp.A).max()))
+    piv_tol = _PIVOT_TOL * max(1.0, float(lp.A.max()), -float(lp.A.min()))  # max |A|, no copy
     cost_scale = max(1.0, float(np.abs(lp.c).max()))
     dual_tol = _DUAL_TOL * cost_scale
     it = flips = refactors = 0
@@ -469,14 +470,15 @@ def _long_step(cand, groups, keys, drop, rise, blocked, k, tol, need):
     Candidate j is the line ``drop[j] + theta * rise[j]`` (``drop`` <= 0,
     ``rise`` > 0) in group ``groups[j]``, whose key ``keys[groups[j]]`` has
     the line 0; ``cand`` is ascending, so each group's candidates are
-    adjacent and in tie order.  The breakpoints are those of each group's
-    upper envelope, kept in one record of lines: variable, line replaced,
-    crossing point, gain, blocked.  At k = 1 every candidate is a
-    breakpoint.  Otherwise, round by round, each group's next envelope line
-    is the one that crosses its current line first (the steepest on ties,
-    then the earliest); a blocked group stops after its first.  Each
-    envelope line is at least as steep as the one before, so later rounds
-    look only at lines that cross before the first round's step ends.
+    adjacent, one run, and in tie order.  The breakpoints are those of each
+    group's upper envelope, kept in one record of lines: variable, line
+    replaced, crossing point, gain, blocked.  At k = 1 every candidate is a
+    breakpoint.  Otherwise the first round takes each run's first crossing,
+    and each later round appends each run's next envelope line, the one
+    that crosses its current line first (the steepest on ties, then the
+    earliest); a blocked group stops after its first.  Each envelope line
+    is at least as steep as the one before, so later rounds look only at
+    lines that cross before the first round's step ends.
 
     Returns the passed variables, the lines they replace and the variable
     that enters, or None when no breakpoint ends the step.
@@ -487,51 +489,39 @@ def _long_step(cand, groups, keys, drop, rise, blocked, k, tol, need):
         at, run = _first_crossings(groups, cross, rise)
         lines = tuple(part[at] for part in lines)
     order, p = _passing_order(*lines[2:], need)
-    # Later rounds: lines of unblocked groups, steeper than their group's
-    # first line, that cross their key before the first round's step ends.
     if k > 1 and at.size < cand.size:  # some group has more than one line
+        # Later rounds: lines of unblocked groups, steeper than their run's
+        # current line, that cross it before the first round's step ends.
+        # Each run's current line (drop, rise, start; variable) is kept at
+        # the run, so a round reads only its live candidates; run labels
+        # are equal between neighbours exactly where group ids are, so
+        # _first_crossings takes them in place of the groups.
         bound = lines[2][order[p]] if p < order.size else np.inf
         live = ~late & (rise > lines[3][run] + tol) & (cross <= bound)
-        if live.any():
-            lines = _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k,
-                                  tol, bound)
+        found, top, line = [lines], np.array([drop[at], rise[at], lines[2]]), lines[0].copy()
+        while live.any():  # at most k - 1 rounds find lines: a run that finds none stops
+            idx = live.nonzero()[0]
+            r = run[idx]
+            meet = np.maximum((top[0, r] - drop[idx]) / (rise[idx] - top[1, r]), top[2, r])
+            near = (meet <= bound).nonzero()[0]  # the others cross past the step's end
+            if not near.size:
+                break
+            idx, r, meet = idx[near], r[near], meet[near]
+            first = _first_crossings(r, meet, rise[idx])[0]
+            idx, r, meet = idx[first], r[first], meet[first]
+            found.append((cand[idx], line[r], meet, rise[idx] - top[1, r], late[idx]))
+            top[:, r], line[r] = (drop[idx], rise[idx], meet), cand[idx]
+            live &= rise > top[1, run] + tol
+        if len(found) > 1:
+            lines = tuple(np.concatenate(part) for part in zip(*found))
+            # The rounds' state is as large as the first round: free it before the sort.
+            del found, top, line
             order, p = _passing_order(*lines[2:], need)
     if p == order.size:
         return None
     head = order[:p + 1]
     var = lines[0][head]
     return var[:p], lines[1][head[:p]], int(var[p])
-
-
-def _later_rounds(lines, live, at, cand, groups, drop, rise, blocked, k, tol, bound):
-    """The first round's breakpoints with the later rounds' appended.
-
-    ``lines`` holds the first round (variable, line replaced, crossing point,
-    gain, blocked), ``at`` its positions among the candidates and ``live``
-    the candidates that may still join an envelope before ``bound``.
-    """
-    found = [lines]
-    g = groups[at]
-    top = np.zeros((3, blocked.size))  # each group's current line: drop, rise, start
-    top[:, g] = drop[at], rise[at], lines[2]
-    line = np.zeros(blocked.size, dtype=np.int64)
-    line[g] = lines[0]
-    for _ in range(k - 1):
-        idx = live.nonzero()[0]
-        g = groups[idx]
-        cross = np.maximum((top[0, g] - drop[idx]) / (rise[idx] - top[1, g]), top[2, g])
-        near = (cross <= bound).nonzero()[0]  # the others cross past the step's end
-        if not near.size:
-            break
-        idx, g, cross = idx[near], g[near], cross[near]
-        first = _first_crossings(g, cross, rise[idx])[0]
-        idx, g, cross = idx[first], g[first], cross[first]
-        found.append((cand[idx], line[g], cross, rise[idx] - top[1, g], blocked[g]))
-        top[:, g], line[g] = (drop[idx], rise[idx], cross), cand[idx]
-        live &= rise > top[1, groups] + tol
-        if not live.any():
-            break
-    return tuple(np.concatenate(part) for part in zip(*found))
 
 
 def _passing_order(cross, gain, late, need):

@@ -30,7 +30,7 @@ from onlinelp import (
     solve_boxed_lp,
     step,
 )
-from onlinelp import engine
+from onlinelp import engine, harness
 from onlinelp.engine import decide, options, price_rule, run_epochs, schedule
 
 from _oracles import decide_loop
@@ -127,11 +127,14 @@ class TestHFactor:
      r"ell must be in \[1, n\], got ell=4, n=3"),
     (lambda: learn_price(unit_instance([3.0, 2.0, 1.0], 1.0), 1.0, 0.1), ValueError,
      "ell must be an integer >= 1, got 1.0"),
+    (lambda: harness.dispatch(unit_instance([3.0, 2.0, 1.0], 1.0), "nope", 0.1), ValueError,
+     r"unknown algorithm 'nope'; expected one of \("),
 ], ids=["step column size", "step multi column", "start b shape", "start b negative",
         "start b nan", "start b inf", "start b zero", "start no rows", "start m fractional",
         "start m bool", "start n fractional", "start n zero", "start n bool", "h_factor eps 0",
         "h_factor eps 1", "h_factor ell bool", "h_factor ell float", "sample_lp ell bool",
-        "sample_lp ell float", "sample_lp ell past n", "learn_price ell float"])
+        "sample_lp ell float", "sample_lp ell past n", "learn_price ell float",
+        "dispatch unknown algo"])
 def test_rejected_input(make, exc, match):
     with pytest.raises(exc, match=match):
         make()

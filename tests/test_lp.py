@@ -1,5 +1,6 @@
 """Solver tests: hand cases, duality, the certificate, and the enumeration oracle."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -203,10 +204,24 @@ def test_invalid_data_rejected():
 @pytest.mark.parametrize("c, A", [
     ([1e308, 1e308], [[1.0, 1.0]]),
     ([1.0, 1.0], [[1e308, 1e308]]),
-], ids=["objective", "row activity"])
+    ([1.0, 1.0], [[1e308, -1e308]]),
+], ids=["objective", "row activity", "mixed-sign row activity"])
 def test_overflowing_data_rejected(c, A):
     with pytest.raises(ValueError, match="overflows"):
         BoxedLp(c=np.array(c), A=np.array(A), d=np.ones(1))
+
+
+def test_nonnegative_data_is_checked_without_a_copy():
+    """The overflow check sums a nonnegative A as it is, with no temporary the size of A."""
+    A = np.ones((4, 250_000))
+    c, d = np.ones(A.shape[1]), np.ones(4)
+    tracemalloc.start()
+    try:
+        BoxedLp(c=c, A=A, d=d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < A.nbytes / 2
 
 
 def test_non_finite_gap_fails_the_certificate(monkeypatch):
@@ -319,6 +334,58 @@ def test_breakpoints_pass_in_one_order(cross, late, gain, need, order, end):
     got, p = lp_module._passing_order(cross, gain, late, need)
     assert got.tolist() == order
     assert p == end
+
+
+# Hand-made candidate lines drop + theta * rise at k = 3: groups 0-2 (group t's
+# options are variables 4t .. 4t + 2, its slack 4t + 3) and row slack 0
+# (variable 12, label 3).  Against its key, the slack, group 0's envelope is
+# option 0 from theta = 1, option 1 from 2 and option 2 from 7.  Group 1 is
+# blocked; its first line crosses at 5.  Group 2's option 2 is flatter than
+# its option 0 and never on the envelope.
+LINES = {  # variable: (label, drop, rise)
+    0: (0, -1.0, 1.0), 1: (0, -3.0, 2.0), 2: (0, -10.0, 3.0),
+    4: (1, -5.0, 1.0), 6: (1, -12.0, 2.0),
+    8: (2, -3.0, 1.0), 10: (2, -1.0, 0.25),
+    12: (3, -8.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("cand, need, step, later", [
+    # The step ends at group 1's blocked line (5); group 0's second line
+    # (2) passes, and its third (7) lies past that end and is not visited.
+    ([0, 1, 2, 4, 6, 8, 10, 12], 10.0, ([0, 1, 8], [3, 0, 11], 4), [[2.0, 4.5]]),
+    ([0, 1, 2, 4, 6, 8, 10, 12], 2.5, ([0, 1], [3, 0], 8), [[2.0, 4.5]]),
+    # The first round ends at 3, which option 2 crosses only at 3.33.
+    ([0, 1, 2, 4, 6, 8, 10, 12], 1.5, ([0], [3], 1), [[2.0]]),
+    # Nothing is blocked and the three lines gain 3 < need: no end.
+    ([0, 1, 2], 10.0, None, [[2.0, 4.5], [7.0]]),
+], ids=["blocked-end", "gain-end", "second-line-enters", "no-end"])
+def test_long_step_walks_each_envelope(monkeypatch, cand, need, step, later):
+    """k = 3: each group's envelope, one line a round, up to the first round's end.
+
+    ``later`` lists the crossing points each later round hands to
+    ``_first_crossings``: a blocked group's lines and lines that cross past
+    the first round's end are never among them.
+    """
+    seen = []
+    first_crossings = lp_module._first_crossings
+
+    def record(groups, cross, rise):
+        seen.append(cross.tolist())
+        return first_crossings(groups, cross, rise)
+
+    monkeypatch.setattr(lp_module, "_first_crossings", record)
+    groups, drop, rise = (np.array(part) for part in zip(*(LINES[v] for v in cand)))
+    keys = np.array([3, 5, 11, 3])  # each group's key; a row slack's is the zero column k
+    blocked = np.array([False, True, False, True])
+    got = lp_module._long_step(np.array(cand), groups, keys, drop, rise, blocked, 3, 1e-11,
+                               need)
+    if step is None:
+        assert got is None
+    else:
+        passed, before, q = got
+        assert (passed.tolist(), before.tolist(), q) == step
+    assert seen[1:] == later
 
 
 def test_pivot_count_bounded_on_offline_adwords():
